@@ -29,6 +29,11 @@ class ConservationChecker final : public obs::EventSink {
   void on_join(const obs::JoinEvent& e) override;
   void on_subpacket(const obs::SubpacketRecord& r) override;
   void on_arbitration(const obs::ArbitrationEvent& e) override;
+  [[nodiscard]] std::uint32_t interests() const override {
+    return obs::bit(obs::EventKind::kFork) | obs::bit(obs::EventKind::kJoin) |
+           obs::bit(obs::EventKind::kSubpacket) |
+           obs::bit(obs::EventKind::kArbitration);
+  }
 
   /// In-flight totals found by audit_network.
   struct Audit {

@@ -45,6 +45,9 @@ class LatencyBoundOracle final : public obs::EventSink {
                      Cycle promote_after = 0);
 
   void on_subpacket(const obs::SubpacketRecord& rec) override;
+  [[nodiscard]] std::uint32_t interests() const override {
+    return obs::bit(obs::EventKind::kSubpacket);
+  }
 
   [[nodiscard]] bool ok() const { return log_.ok(); }
   [[nodiscard]] const ViolationLog& log() const { return log_; }

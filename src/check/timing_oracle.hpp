@@ -37,6 +37,9 @@ class TimingOracle final : public obs::EventSink {
   TimingOracle(const sdram::DeviceConfig& cfg, const sdram::Timing& timing);
 
   void on_command(const obs::SdramCommandEvent& e) override;
+  [[nodiscard]] std::uint32_t interests() const override {
+    return obs::bit(obs::EventKind::kCommand);
+  }
 
   /// Attach this channel's SDRAM fault timeline (refresh storms, bank
   /// throttles). The oracle folds each edge into its constraint set at

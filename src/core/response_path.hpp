@@ -52,6 +52,7 @@ class ResponsePath {
   [[nodiscard]] Cycle next_event(Cycle now) const;
 
   [[nodiscard]] const noc::Network& network() const { return net_; }
+  [[nodiscard]] noc::Network& network() { return net_; }
   /// Responses queued across all controllers.
   [[nodiscard]] std::size_t backlog() const {
     std::size_t n = 0;

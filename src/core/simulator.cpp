@@ -236,6 +236,7 @@ Simulator::Simulator(const SystemConfig& cfg)
   }
   if (cfg.num_vcs > 1) app_.noc.num_vcs = cfg.num_vcs;
   network_ = std::make_unique<noc::Network>(app_.noc, std::move(kinds), gss);
+  network_->set_audit(cfg.audit_horizons);
   node_channel_.assign(network_->num_routers(), kInvalidChannel);
   for (std::uint32_t c = 0; c < num_ctrl; ++c) {
     network_->attach_sink(mems[c], subsystems_[c].get());
@@ -284,6 +285,7 @@ Simulator::Simulator(const SystemConfig& cfg)
 
   if (cfg.model_response_path) {
     response_path_ = std::make_unique<ResponsePath>(app_.noc);
+    response_path_->network().set_audit(cfg.audit_horizons);
     response_path_->set_on_delivered([this](noc::Packet&& pkt, Cycle now) {
       if (measuring_ && pkt.created >= measure_start_) {
         lat_resp_.add(now >= pkt.service_done ? now - pkt.service_done : 0);

@@ -219,6 +219,8 @@ struct SystemConfig {
   /// source. Costs a few percent; meant for tests and triage runs, not
   /// measurement. Applies to dense and fast_forward stepping (event
   /// mode *consumes* horizons; auditing needs the dense reference).
+  /// In every mode it also re-derives each replayed router arbitration
+  /// and each skipped downstream probe (DESIGN.md "Arbitration memo").
   bool audit_horizons = false;
 
   /// Memory-controller arbiter engine. Unset keeps the design point's

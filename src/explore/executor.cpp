@@ -94,7 +94,7 @@ void replace_file(const std::string& path, const std::string& text,
 
 [[nodiscard]] std::string chunk_claim_path(const std::string& out_dir,
                                            std::uint64_t chunk_id) {
-  char name[32];
+  char name[48];  // "chunk_" + up to 20 digits + ".claim" + NUL
   std::snprintf(name, sizeof(name), "chunk_%06llu.claim",
                 static_cast<unsigned long long>(chunk_id));
   return out_dir + "/claims/" + name;

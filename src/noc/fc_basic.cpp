@@ -13,24 +13,30 @@
 namespace annoc::noc {
 namespace {
 
-/// Conventional router arbitration: rotate over input ports. The port
-/// pointer advances on every grant, so all inputs share the channel
-/// fairly regardless of packet contents.
+/// Conventional router arbitration: rotate over input slots (port ×
+/// virtual channel). The pointer advances on every select, so all
+/// inputs share the channel fairly regardless of packet contents.
 class RoundRobinFc final : public FlowController {
  public:
+  explicit RoundRobinFc(std::uint32_t num_slots)
+      : slots_(num_slots), last_port_(num_slots - 1) {
+    ANNOC_ASSERT(num_slots > 0);
+  }
+
   std::optional<std::size_t> select(const std::vector<Candidate>& candidates,
                                     const std::vector<Packet*>& waiting,
                                     Cycle now) override {
     (void)waiting;
     (void)now;
     ANNOC_ASSERT(!candidates.empty());
-    // Pick the candidate whose port is the first one strictly after the
-    // last winner's port in cyclic order.
+    // Pick the candidate whose slot is the first one strictly after the
+    // last winner's slot in cyclic order.
     std::size_t best = 0;
     std::uint32_t best_dist = std::numeric_limits<std::uint32_t>::max();
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       const std::uint32_t p = candidates[i].port;
-      const std::uint32_t dist = (p + kMaxPorts - 1 - last_port_) % kMaxPorts;
+      ANNOC_ASSERT_MSG(p < slots_, "candidate slot outside the rotation");
+      const std::uint32_t dist = (p + slots_ - 1 - last_port_) % slots_;
       if (dist < best_dist) {
         best_dist = dist;
         best = i;
@@ -40,11 +46,18 @@ class RoundRobinFc final : public FlowController {
     return best;
   }
 
+  /// The pointer moves on every select, so only a lone candidate is
+  /// chosen again.
+  Cycle stable_until(const std::vector<Candidate>& candidates,
+                     Cycle now) const override {
+    return candidates.size() == 1 ? kNeverCycle : now + 1;
+  }
+
   FlowControlKind kind() const override { return FlowControlKind::kRoundRobin; }
 
  private:
-  static constexpr std::uint32_t kMaxPorts = 64;  // ports x virtual channels
-  std::uint32_t last_port_ = kMaxPorts - 1;
+  std::uint32_t slots_;
+  std::uint32_t last_port_;
 };
 
 /// Priority-first: any priority candidate beats every best-effort one;
@@ -62,6 +75,14 @@ class PriorityFirstFc final : public FlowController {
       if (beats(*candidates[i].pkt, *candidates[best].pkt)) best = i;
     }
     return best;
+  }
+
+  /// A pure function of the candidates.
+  Cycle stable_until(const std::vector<Candidate>& candidates,
+                     Cycle now) const override {
+    (void)candidates;
+    (void)now;
+    return kNeverCycle;
   }
 
   FlowControlKind kind() const override {
@@ -98,6 +119,18 @@ class SdramAwareFc : public FlowController {
       }
     }
     return best;
+  }
+
+  /// Scores read the clock only through the starvation cap, so the
+  /// decision holds until the next candidate starts starving.
+  Cycle stable_until(const std::vector<Candidate>& candidates,
+                     Cycle now) const override {
+    Cycle until = kNeverCycle;
+    for (const Candidate& c : candidates) {
+      const Cycle starves_at = c.pkt->head_arrival + kStarvationCap + 1;
+      if (starves_at > now) until = std::min(until, starves_at);
+    }
+    return until;
   }
 
   void on_scheduled(const Packet& pkt, Cycle now) override {
@@ -151,10 +184,11 @@ class SdramAwarePfsFc final : public SdramAwareFc {
 }  // namespace
 
 std::unique_ptr<FlowController> make_flow_controller(FlowControlKind kind,
-                                                     const GssParams& gss) {
+                                                     const GssParams& gss,
+                                                     std::uint32_t num_slots) {
   switch (kind) {
     case FlowControlKind::kRoundRobin:
-      return std::make_unique<RoundRobinFc>();
+      return std::make_unique<RoundRobinFc>(num_slots);
     case FlowControlKind::kPriorityFirst:
       return std::make_unique<PriorityFirstFc>();
     case FlowControlKind::kSdramAware:

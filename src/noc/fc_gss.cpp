@@ -227,6 +227,15 @@ std::optional<std::size_t> GssFlowController::select(
   return std::nullopt;
 }
 
+Cycle GssFlowController::stable_until(const std::vector<Candidate>& candidates,
+                                      Cycle now) const {
+  if (!sti_) return kNeverCycle;
+  for (const Candidate& c : candidates) {
+    if (now < bank_ready_at_[c.pkt->loc.bank % kMaxBanks]) return now + 1;
+  }
+  return kNeverCycle;
+}
+
 void GssFlowController::on_scheduled(const Packet& pkt, Cycle now) {
   // Admits are reported here, not in select(): a select() winner can
   // still be vetoed by a full downstream buffer, and the ladder-level

@@ -52,6 +52,13 @@ class GssFlowController final : public FlowController {
       const std::vector<Candidate>& candidates,
       const std::vector<Packet*>& waiting, Cycle now) override;
 
+  /// Plain GSS reads no clock: kNeverCycle. GSS+STI reads it through
+  /// the bank turnaround counters, and reports an STI hit on every
+  /// select while a candidate's bank turns around, so it is stable only
+  /// once none does.
+  [[nodiscard]] Cycle stable_until(const std::vector<Candidate>& candidates,
+                                   Cycle now) const override;
+
   void on_scheduled(const Packet& pkt, Cycle now) override;
 
   [[nodiscard]] FlowControlKind kind() const override {

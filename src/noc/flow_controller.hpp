@@ -42,7 +42,8 @@ enum class FlowControlKind : std::uint8_t {
   return "?";
 }
 
-/// One arbitration candidate: the head packet of input port `port`.
+/// One arbitration candidate: the head packet of input slot `port`
+/// (in-port × num_vcs + vc at a router).
 struct Candidate {
   Packet* pkt = nullptr;
   std::uint32_t port = 0;
@@ -77,6 +78,21 @@ class FlowController {
       const std::vector<Candidate>& candidates,
       const std::vector<Packet*>& waiting, Cycle now) = 0;
 
+  /// How long the select() just made at `now` stays valid: the first
+  /// cycle at which select() over the same candidates and pool could
+  /// choose differently or emit different events. Up to that cycle a
+  /// repeated select() must also leave this controller and every
+  /// pooled packet unchanged, because the router replays the decision
+  /// instead of calling it (DESIGN.md "Arbitration memo"). Arrivals,
+  /// grants and reroutes end a replay on their own; this horizon covers
+  /// what the controller reads from the clock or from its own state.
+  /// The default never lets a decision be replayed.
+  [[nodiscard]] virtual Cycle stable_until(
+      const std::vector<Candidate>& candidates, Cycle now) const {
+    (void)candidates;
+    return now + 1;
+  }
+
   /// The selected packet's transfer begins: it becomes h(n).
   virtual void on_scheduled(const Packet& pkt, Cycle now) {
     (void)pkt;
@@ -101,8 +117,11 @@ class FlowController {
   std::uint8_t obs_port_ = 0;
 };
 
-/// Factory. `gss` is consulted only for the GSS kinds.
+/// Factory. `gss` is consulted only for the GSS kinds; `num_slots`
+/// bounds the candidate slots (Candidate::port) and sizes the
+/// round-robin rotation — a router passes kNumPorts × num_vcs.
 [[nodiscard]] std::unique_ptr<FlowController> make_flow_controller(
-    FlowControlKind kind, const GssParams& gss = {});
+    FlowControlKind kind, const GssParams& gss = {},
+    std::uint32_t num_slots = 64);
 
 }  // namespace annoc::noc

@@ -207,6 +207,17 @@ void Network::deliver(Packet&& pkt, NodeId to, Port in_port,
   if (waker_ != nullptr) waker_->wake_router(to, now + 1);
 }
 
+Packet Network::grant(Router& r, const VcId& win, Port out, Cycle now) {
+  // A degraded link (fault) holds the channel extra cycles per grant;
+  // ports off the mesh never carry a penalty.
+  Packet pkt = r.grant(win, out, now, link_penalty_[r.id()][out]);
+  // Input win.port popped: a winner upstream of it that was blocked on
+  // the full buffer may fit now.
+  const Link& up = links_[r.id()][win.port];
+  if (up.nb != kInvalidNode) routers_[up.nb]->downstream_popped(up.nb_in);
+  return pkt;
+}
+
 /// Output service order within a router: the memory port first (it
 /// gates everything downstream of it), then the mesh directions, local
 /// injections last.
@@ -244,7 +255,7 @@ void Network::tick_router(NodeId id, Cycle now) {
         r.note_blocked(out, obs::StallCause::kSinkBusy, now);
         continue;
       }
-      Packet pkt = r.grant(*win, out, now);
+      Packet pkt = grant(r, *win, out, now);
       pkt.mem_arrival = pkt.tail_arrival;  // tail lands when channel frees
       stats_.ejected_packets += 1;
       stats_.ejected_flits += pkt.flits;
@@ -259,7 +270,7 @@ void Network::tick_router(NodeId id, Cycle now) {
       // packet counts as delivered when its tail lands.
       ANNOC_ASSERT_MSG(local_sink_ != nullptr,
                        "core-bound packet without a local sink");
-      Packet pkt = r.grant(*win, out, now);
+      Packet pkt = grant(r, *win, out, now);
       const Cycle done = pkt.tail_arrival;
       stats_.ejected_packets += 1;
       stats_.ejected_flits += pkt.flits;
@@ -274,14 +285,20 @@ void Network::tick_router(NodeId id, Cycle now) {
                      "granted output leaves the mesh");
 
     Router& down = *routers_[l.nb];
-    const auto vc = down.find_vc(l.nb_in, r.head(*win));
+    // The same winner already missed this buffer and it has not popped
+    // since: the probe would miss again.
+    const bool known_full = r.downstream_full(out);
+    if (known_full && r.audit() && down.find_vc(l.nb_in, r.head(*win))) {
+      r.audit_failed(out, now, "skipped the downstream probe of a winner "
+                               "that fits");
+    }
+    const auto vc =
+        known_full ? std::nullopt : down.find_vc(l.nb_in, r.head(*win));
     if (!vc) {
       r.note_blocked(out, obs::StallCause::kDownstreamFull, now);
       continue;
     }
-    // A degraded link (fault) holds the channel extra cycles per grant.
-    Packet pkt = r.grant(*win, out, now, link_penalty_[id][out]);
-    deliver(std::move(pkt), l.nb, l.nb_in, *vc, now);
+    deliver(grant(r, *win, out, now), l.nb, l.nb_in, *vc, now);
   }
 }
 

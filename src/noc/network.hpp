@@ -134,6 +134,13 @@ class Network {
   /// detaches; dense and fast-forward runs leave it unset).
   void set_waker(NetworkWaker* waker) { waker_ = waker; }
 
+  /// Horizon-audit mode for every router's arbitration memo and
+  /// pop-gated downstream probe (Router::set_audit); the simulator
+  /// turns it on with SystemConfig::audit_horizons.
+  void set_audit(bool on) {
+    for (auto& r : routers_) r->set_audit(on);
+  }
+
   /// Attach an observer to every router (arbitration, stall and GSS
   /// ladder events). nullptr detaches.
   void set_observer(obs::EventSink* sink) {
@@ -259,6 +266,9 @@ class Network {
  private:
   void deliver(Packet&& pkt, NodeId to, Port in_port, std::uint32_t vc,
                Cycle now);
+  /// Router::grant plus the bookkeeping of the pop: tells the router
+  /// feeding input `win.port` (Router::downstream_popped).
+  [[nodiscard]] Packet grant(Router& r, const VcId& win, Port out, Cycle now);
 
   /// The output port of `a` facing `b` (asserts the link exists).
   [[nodiscard]] Port port_toward(NodeId a, NodeId b) const;

@@ -83,7 +83,9 @@ inline constexpr Port kPortParked = kNumPorts;
 /// packet charges at least one flit, so the packet count can never
 /// exceed the flit capacity. The ring never reallocates, which keeps
 /// pointers to buffered packets stable for the lifetime of the packet —
-/// the routers' incremental per-output pools rely on this.
+/// the routers' incremental per-output pools rely on this. Each slot
+/// also holds the output port its packet is routed to (kPortParked for
+/// a packet pushed without a route).
 class InputBuffer {
  public:
   explicit InputBuffer(std::uint32_t capacity_flits)
@@ -97,11 +99,13 @@ class InputBuffer {
     return used_ + need <= capacity_;
   }
 
-  void push(Packet&& p) {
+  void push(Packet&& p, Port out = kPortParked) {
     ANNOC_ASSERT(can_accept(p.flits));
     ANNOC_ASSERT(size_ < slots_.size());
     used_ += std::min(p.flits, capacity_);
-    slots_[(head_ + size_) % slots_.size()] = std::move(p);
+    Slot& s = slots_[wrap(head_ + size_)];
+    s.pkt = std::move(p);
+    s.out = out;
     ++size_;
   }
 
@@ -109,31 +113,46 @@ class InputBuffer {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] Packet& front() { return at(0); }
   [[nodiscard]] const Packet& front() const { return at(0); }
-  [[nodiscard]] Packet& at(std::size_t i) {
-    ANNOC_ASSERT(i < size_);
-    return slots_[(head_ + i) % slots_.size()];
-  }
-  [[nodiscard]] const Packet& at(std::size_t i) const {
-    ANNOC_ASSERT(i < size_);
-    return slots_[(head_ + i) % slots_.size()];
-  }
+  /// Output port the head packet is routed to.
+  [[nodiscard]] Port front_out() const { return slot(0).out; }
+  [[nodiscard]] Packet& at(std::size_t i) { return slot(i).pkt; }
+  [[nodiscard]] const Packet& at(std::size_t i) const { return slot(i).pkt; }
+  void set_out(std::size_t i, Port out) { slot(i).out = out; }
   [[nodiscard]] Packet& back() { return at(size_ - 1); }
   [[nodiscard]] std::uint32_t used_flits() const { return used_; }
   [[nodiscard]] std::uint32_t capacity_flits() const { return capacity_; }
 
   Packet pop() {
     ANNOC_ASSERT(size_ > 0);
-    Packet p = std::move(slots_[head_]);
-    head_ = (head_ + 1) % slots_.size();
+    Packet p = std::move(slots_[head_].pkt);
+    head_ = wrap(head_ + 1);
     --size_;
     used_ -= std::min(p.flits, capacity_);
     return p;
   }
 
  private:
+  struct Slot {
+    Packet pkt;
+    Port out = kPortParked;
+  };
+
+  /// Ring index for `i` < 2 * capacity: one compare instead of a `%`.
+  [[nodiscard]] std::size_t wrap(std::size_t i) const {
+    return i >= slots_.size() ? i - slots_.size() : i;
+  }
+  [[nodiscard]] Slot& slot(std::size_t i) {
+    ANNOC_ASSERT(i < size_);
+    return slots_[wrap(head_ + i)];
+  }
+  [[nodiscard]] const Slot& slot(std::size_t i) const {
+    ANNOC_ASSERT(i < size_);
+    return slots_[wrap(head_ + i)];
+  }
+
   std::uint32_t capacity_;
   std::uint32_t used_ = 0;
-  std::vector<Packet> slots_;
+  std::vector<Slot> slots_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };
@@ -159,6 +178,7 @@ struct RouterStats {
 struct VcId {
   Port port = kPortLocal;
   std::uint32_t vc = 0;
+  friend bool operator==(const VcId&, const VcId&) = default;
 };
 
 class Router {
@@ -175,10 +195,10 @@ class Router {
   [[nodiscard]] std::uint32_t num_vcs() const { return num_vcs_; }
 
   [[nodiscard]] InputBuffer& input(Port p, std::uint32_t vc = 0) {
-    return inputs_[p][vc];
+    return inputs_[p * num_vcs_ + vc];
   }
   [[nodiscard]] const InputBuffer& input(Port p, std::uint32_t vc = 0) const {
-    return inputs_[p][vc];
+    return inputs_[p * num_vcs_ + vc];
   }
   [[nodiscard]] Transfer& output(Port p) { return outputs_[p]; }
   [[nodiscard]] const Transfer& output(Port p) const { return outputs_[p]; }
@@ -203,12 +223,14 @@ class Router {
 
   /// Arbitrate output `out` at cycle `now` (channel must be free) over
   /// the head packets of every (port, vc) wanting `out`. Returns the
-  /// winning buffer, or nullopt.
+  /// winning buffer, or nullopt. The decision is memoized per output
+  /// and replayed — counted and observed exactly like a fresh round —
+  /// until one of its inputs changes (DESIGN.md "Arbitration memo").
   [[nodiscard]] std::optional<VcId> arbitrate(Port out, Cycle now);
 
   /// Peek the head packet of input (`in`, `vc`) (must be non-empty).
   [[nodiscard]] const Packet& head(Port in, std::uint32_t vc = 0) const {
-    return inputs_[in][vc].front();
+    return input(in, vc).front();
   }
   [[nodiscard]] const Packet& head(const VcId& id) const {
     return head(id.port, id.vc);
@@ -223,10 +245,11 @@ class Router {
                              Cycle extra_channel_cycles = 0);
 
   /// Recompute the output port of every buffered packet (fault edges:
-  /// dead links appearing or healing). Rebuilds the routed_ records and
-  /// the per-output pools in canonical (in-port, vc, buffer-index)
-  /// order — the order is part of the deterministic contract, since
-  /// pool order is visible to the flow controllers. `fn` may return
+  /// dead links appearing or healing). Rewrites each buffer slot's
+  /// routed port and rebuilds the per-output pools in canonical
+  /// (in-port, vc, buffer-index) order — the order is part of the
+  /// deterministic contract, since pool order is visible to the flow
+  /// controllers. `fn` may return
   /// kPortParked for unreachable destinations. Flow-controller arrival
   /// hooks are deliberately NOT re-run: a reroute is a path change, not
   /// a new arrival, so GSS token state is preserved.
@@ -234,14 +257,39 @@ class Router {
 
   /// Mark a stall on output `out`: a winner was selected but could not
   /// move (`cause` distinguishes full downstream buffers from a busy
-  /// memory sink).
+  /// memory sink). A full downstream buffer is remembered with the
+  /// memoized winner: downstream_full() holds until downstream_popped()
+  /// or a new decision.
   void note_blocked(Port out, obs::StallCause cause, Cycle now) {
+    if (cause == obs::StallCause::kDownstreamFull) {
+      memo_[out].downstream_full = true;
+    }
     ++stats_.blocked_on_downstream;
     ANNOC_OBS_EMIT(obs_, on_stall(obs::StallEvent{.at = now,
                                                   .router = id_,
                                                   .out_port = out,
                                                   .cause = cause}));
   }
+
+  /// The winner arbitrate() returned for `out` is the one that last
+  /// failed to fit its downstream input buffer, and that buffer has not
+  /// popped since: probing it again is a guaranteed miss. Only a pop
+  /// can make room, because a mesh input has exactly one feeder (this
+  /// output) and this router's own grant starts a new decision.
+  [[nodiscard]] bool downstream_full(Port out) const {
+    return memo_[out].downstream_full;
+  }
+  /// The input buffer fed by output `out` popped a packet.
+  void downstream_popped(Port out) { memo_[out].downstream_full = false; }
+
+  /// Horizon-audit mode (SystemConfig::audit_horizons): every replayed
+  /// arbitration also re-runs the candidate scan and select(), and
+  /// aborts if the decision or any pooled packet's tokens differ.
+  void set_audit(bool on) { audit_ = on; }
+  [[nodiscard]] bool audit() const { return audit_; }
+  /// An audit found a replayed decision or a skipped probe wrong:
+  /// report router, output and cycle, then abort.
+  [[noreturn]] void audit_failed(Port out, Cycle now, const char* what) const;
 
   /// Attach an observer receiving per-channel arbitration/stall events
   /// (and, through the flow controllers, the GSS ladder events).
@@ -274,17 +322,42 @@ class Router {
   void dump(std::ostream& os, Cycle now) const;
 
  private:
+  /// Output `out`'s last arbitration decision (DESIGN.md "Arbitration
+  /// memo"). arbitrate() replays it while `now < until`; every event
+  /// that can change one of its inputs resets it (until = 0).
+  struct Memo {
+    enum class Kind : std::uint8_t {
+      kNone,      ///< no eligible candidate (no round is counted)
+      kDeclined,  ///< select() declined: GSS exclusion
+      kWinner,    ///< select() chose `winner`
+    };
+    Kind kind = Kind::kNone;
+    /// See downstream_full().
+    bool downstream_full = false;
+    VcId winner{};
+    /// First cycle the decision may differ: a head becoming eligible,
+    /// or the flow controller's stable_until() horizon.
+    Cycle until = 0;
+  };
+
+  /// Scan the heads routed to `out`, run select() over the eligible
+  /// ones and return the decision. Counts nothing.
+  [[nodiscard]] Memo decide(Port out, Cycle now);
+  /// Horizon audit of a replayed round: re-decide and compare.
+  void audit_replay(Port out, Cycle now);
+  void invalidate(Port out) { memo_[out] = Memo{}; }
+
   NodeId id_;
   std::uint32_t x_, y_;
   std::uint32_t pipeline_;
   FlowControlKind fc_kind_;
   std::uint32_t num_vcs_;
-  /// inputs_[port][vc]
-  std::vector<std::vector<InputBuffer>> inputs_;
-  std::vector<Transfer> outputs_;
-  std::vector<std::unique_ptr<FlowController>> fc_;
-  /// routed_[port][vc][i] is the output port of inputs_[port][vc].at(i).
-  std::vector<std::vector<std::vector<Port>>> routed_;
+  /// inputs_[port * num_vcs_ + vc]; each buffer slot also holds the
+  /// output port its packet is routed to.
+  std::vector<InputBuffer> inputs_;
+  std::array<Transfer, kNumPorts> outputs_{};
+  std::array<std::unique_ptr<FlowController>, kNumPorts> fc_;
+  std::array<Memo, kNumPorts> memo_{};
   /// pools_[out]: every waiting packet in this router routed to output
   /// `out`, maintained incrementally on arrival/grant (pointers are
   /// stable: InputBuffer storage never reallocates). Replaces the
@@ -294,8 +367,10 @@ class Router {
   /// allocation on the hot path).
   std::vector<Candidate> cand_scratch_;
   std::vector<VcId> source_scratch_;
+  std::vector<std::uint32_t> token_scratch_;  ///< audit_replay only
   RouterStats stats_;
   obs::EventSink* obs_ = nullptr;
+  bool audit_ = false;
 };
 
 }  // namespace annoc::noc

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "fault/spec.hpp"
 #include "noc/topology.hpp"
 #include "scenario/json.hpp"
@@ -1151,7 +1152,8 @@ Scenario parse_scenario(std::string_view text, const std::string& origin,
     fabric_nodes = topo->spec->num_nodes();
   } else if (!cfg.mesh_preset.empty()) {
     std::uint32_t w = 0, h = 0;
-    core::parse_mesh_preset(cfg.mesh_preset, &w, &h);
+    const bool ok = core::parse_mesh_preset(cfg.mesh_preset, &w, &h);
+    ANNOC_ASSERT_MSG(ok, "mesh_preset is validated where it is read");
     fabric_nodes = static_cast<std::uint64_t>(w) * h;
   } else if (cfg.custom_app) {
     fabric_nodes = static_cast<std::uint64_t>(cfg.custom_app->noc.width) *
@@ -1246,7 +1248,8 @@ void apply_overrides(core::SystemConfig& cfg, const JsonValue& point,
   if (!cfg.mem_nodes.empty() && !cfg.mesh_preset.empty()) {
     if (const JsonMember* m = r.find("mesh_preset")) {
       std::uint32_t w = 0, h = 0;
-      core::parse_mesh_preset(cfg.mesh_preset, &w, &h);
+      const bool ok = core::parse_mesh_preset(cfg.mesh_preset, &w, &h);
+      ANNOC_ASSERT_MSG(ok, "mesh_preset is validated where it is read");
       for (const NodeId n : cfg.mem_nodes) {
         if (n >= static_cast<std::uint64_t>(w) * h) {
           r.fail(*m, "the base scenario places a controller on node " +

@@ -50,7 +50,7 @@ inline constexpr KeyInfo kScenarioKeys[] = {
     {"sched", "string|null", "null",
      "Scheduler: dense, fast_forward or event (all bit-identical); overrides the fast_forward bool, null keeps its meaning."},
     {"audit_horizons", "bool", "false",
-     "Debug: dense-step under per-component state fingerprints; abort when one acts past its reported next_event horizon."},
+     "Debug: dense-step under per-component state fingerprints; abort when one acts past its reported next_event horizon, or when a replayed router arbitration differs from a fresh one."},
     {"pct", "number", "4",
      "GSS priority control token threshold (2..6), paper Section IV-B."},
     {"num_gss_routers", "number|null", "null",

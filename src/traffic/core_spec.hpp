@@ -53,7 +53,10 @@ struct CoreSpec {
 
   double read_fraction = 0.7;
   double bytes_per_cycle = 1.0;
-  std::vector<SizeMix> sizes{{32, 1.0}};
+  // One default-constructed mix (32 B, weight 1). Not `{{32, 1.0}}`:
+  // GCC 12 flags the initializer_list backing array of a default member
+  // initializer as maybe-uninitialized once the constructor is inlined.
+  std::vector<SizeMix> sizes = std::vector<SizeMix>(1);
   /// Demand-request size for MPU cores (a cache line).
   std::uint32_t demand_bytes = 32;
 

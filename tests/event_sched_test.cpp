@@ -9,7 +9,8 @@
 ///     the whole timeline; wakeups and heap depth bounded),
 ///   - warmup / measurement / drain boundary clamping under sched=event,
 ///   - the audit_horizons debug mode (dense stepping under per-component
-///     state fingerprints) staying silent on every design point.
+///     state fingerprints, re-derived router arbitrations) staying
+///     silent on every design point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -337,18 +338,30 @@ TEST(EventSched, HorizonAuditStaysSilentAcrossDesignPoints) {
   // and aborts if any component acts past its reported horizon — the
   // over-estimate detector behind both skip schedulers. Silence here
   // plus the identity tests above bracket next_event from both sides.
-  for (const DesignPoint d :
-       {DesignPoint::kConv, DesignPoint::kGss, DesignPoint::kGssSagm}) {
+  // The same mode re-derives every replayed router arbitration and
+  // every skipped downstream probe, so the legs cover each flow
+  // controller's stable_until horizon: round-robin (also with two VCs),
+  // [4]'s starvation cap, GSS and GSS+STI's bank turnaround.
+  struct Leg {
+    DesignPoint design;
+    std::uint32_t vcs;
+  };
+  for (const Leg leg : {Leg{DesignPoint::kConv, 1}, Leg{DesignPoint::kGss, 1},
+                        Leg{DesignPoint::kGssSagm, 1},
+                        Leg{DesignPoint::kConv, 2}, Leg{DesignPoint::kRef4, 1},
+                        Leg{DesignPoint::kGssSagmSti, 1}}) {
     SystemConfig cfg = base_config();
-    cfg.design = d;
+    cfg.design = leg.design;
+    cfg.num_vcs = leg.vcs;
     cfg.priority_enabled = true;
-    cfg.model_response_path = d == DesignPoint::kGssSagm;
+    cfg.model_response_path = leg.design == DesignPoint::kGssSagm;
     cfg.audit_horizons = true;
     const Metrics audited = run_simulation(cfg);
     cfg.audit_horizons = false;
     const Metrics plain = run_simulation(cfg);
     expect_metrics_identical(plain, audited,
-                             std::string("audit/") + to_string(d));
+                             std::string("audit/") + to_string(leg.design) +
+                                 "/" + std::to_string(leg.vcs) + "vc");
   }
 }
 

@@ -153,7 +153,7 @@ TEST(SweepSpec, DiagnosticsArePositioned) {
   // A candidate that fails scenario validation is caught at parse
   // time with its spec position, not at job-expansion time.
   try {
-    explore::parse_sweep_spec(
+    (void)explore::parse_sweep_spec(
         "{\"axes\": [\n  {\"key\": \"pct\", \"values\": [3, 99]}]}", "<t>");
     FAIL() << "out-of-range candidate accepted";
   } catch (const ParseError& e) {

@@ -1,8 +1,12 @@
-/// Tests for the router (buffers, arbitration, wormhole timing) and the
-/// mesh network (XY routing, injection, ejection, backpressure).
+/// Tests for the router (buffers, arbitration, wormhole timing, the
+/// arbitration memo) and the mesh network (XY routing, injection,
+/// ejection, backpressure).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "noc/network.hpp"
 #include "noc/router.hpp"
@@ -264,6 +268,196 @@ TEST(Network, MixedKindsZeroAndAll) {
   auto over = Network::mixed_kinds(c, 99, FlowControlKind::kGss,
                                    FlowControlKind::kRoundRobin);
   for (auto k : over) EXPECT_EQ(k, FlowControlKind::kGss);
+}
+
+// ---------------------------------------------------------------------
+// Arbitration memo: a blocked output replays its last decision until an
+// input of that decision changes (DESIGN.md "Arbitration memo"). Each
+// case holds one output blocked — arbitrating every cycle without
+// granting — and pins the winner on every cycle.
+// ---------------------------------------------------------------------
+
+/// Land `p` in input (`in`, VC 0) at cycle `at`, routed to `out`; like a
+/// network delivery, its head is there from the next cycle.
+void land(Router& r, Packet p, Port in, Port out, Cycle at) {
+  p.head_arrival = at + 1;
+  p.tail_arrival = at + p.flits;
+  r.on_arrival(std::move(p), in, 0, out, at);
+}
+
+/// Arbitrate and grant `out` at `now`, then free the channel at once.
+void grant_and_free(Router& r, Port out, Cycle now) {
+  const auto win = r.arbitrate(out, now);
+  ASSERT_TRUE(win.has_value());
+  (void)r.grant(*win, out, now);
+  r.output(out).active = false;
+}
+
+/// Hold `out` blocked over cycles [from, to): arbitrate once per cycle
+/// without granting, after `before(cycle)`. Returns the winning input
+/// port of every cycle, and checks each round is counted.
+std::vector<Port> hold_blocked(
+    Router& r, Port out, Cycle from, Cycle to,
+    const std::function<void(Cycle)>& before = [](Cycle) {}) {
+  std::vector<Port> winners;
+  for (Cycle c = from; c < to; ++c) {
+    before(c);
+    const std::uint64_t rounds = r.stats().arbitration_rounds;
+    const auto win = r.arbitrate(out, c);
+    EXPECT_EQ(r.stats().arbitration_rounds, rounds + 1) << "cycle " << c;
+    winners.push_back(win ? win->port : kPortParked);
+  }
+  return winners;
+}
+
+/// `n1` cycles won by `a`, then `n2` by `b`.
+std::vector<Port> runs(Port a, std::size_t n1, Port b, std::size_t n2) {
+  std::vector<Port> v(n1, a);
+  v.insert(v.end(), n2, b);
+  return v;
+}
+
+Packet at_bank(PacketId id, BankId bank, RowId row, RW rw = RW::kRead) {
+  Packet p = mk(0, 99, 2, id);
+  p.loc.bank = bank;
+  p.loc.row = row;
+  p.rw = rw;
+  return p;
+}
+
+TEST(ArbitrationMemo, GssPriorityArrivalToTheSameBank) {
+  Router r(0, 0, 0, 16, 1, FlowControlKind::kGss,
+           GssParams{4, sdram::make_timing(sdram::DdrGeneration::kDdr2,
+                                           400.0)});
+  land(r, at_bank(1, 1, 10), kPortEast, kPortWest, 0);
+  land(r, at_bank(2, 2, 10), kPortNorth, kPortWest, 1);
+  Packet prio = at_bank(3, 1, 20);
+  prio.svc = ServiceClass::kPriority;
+  // East holds the older (more tokens) packet. The priority packet to
+  // its bank lands at cycle 20, is eligible from 21 and wins there; the
+  // bank exclusion also takes East out of the running.
+  const auto winners = hold_blocked(r, kPortWest, 2, 30, [&](Cycle c) {
+    if (c == 20) land(r, prio, kPortSouth, kPortWest, c);
+  });
+  EXPECT_EQ(winners, runs(kPortEast, 19, kPortSouth, 9));
+}
+
+TEST(ArbitrationMemo, Ref4StarvationCapFlipsAtHeadArrivalPlus513) {
+  Router r(0, 0, 0, 16, 1, FlowControlKind::kSdramAware, {});
+  // h(n) = bank 1 row 10.
+  land(r, at_bank(1, 1, 10), kPortEast, kPortWest, 0);
+  grant_and_free(r, kPortWest, 1);
+  // A bank conflict (head at cycle 3) loses to a row hit (head at 101)
+  // until it has waited more than the 512-cycle cap.
+  land(r, at_bank(2, 1, 20), kPortEast, kPortWest, 2);
+  land(r, at_bank(3, 1, 10), kPortNorth, kPortWest, 100);
+  const auto winners = hold_blocked(r, kPortWest, 101, 530);
+  EXPECT_EQ(winners, runs(kPortNorth, 516 - 101, kPortEast, 530 - 516));
+}
+
+TEST(ArbitrationMemo, GssStiBankTurnaroundEnds) {
+  const sdram::Timing t =
+      sdram::make_timing(sdram::DdrGeneration::kDdr2, 400.0);
+  Router r(0, 0, 0, 16, 1, FlowControlKind::kGssSti, GssParams{4, t});
+  // A write to bank 2 granted at cycle 1 (8 data beats: 4 bus cycles)
+  // keeps bank 2 turning around until 1 + 4 + tWR + tRP; then a read to
+  // bank 1 becomes h(n).
+  Packet w = at_bank(1, 2, 5, RW::kWrite);
+  w.useful_beats = 8;
+  land(r, w, kPortEast, kPortWest, 0);
+  grant_and_free(r, kPortWest, 1);
+  land(r, at_bank(2, 1, 10), kPortEast, kPortWest, 1);
+  grant_and_free(r, kPortWest, 2);
+  // East (bank 2, two tokens) fails the STI filter while its bank turns
+  // around; North (bank 3, one token) passes. Afterwards both pass and
+  // East's extra token wins.
+  land(r, at_bank(3, 2, 7), kPortEast, kPortWest, 2);
+  land(r, at_bank(4, 3, 7), kPortNorth, kPortWest, 3);
+  const Cycle ready = 1 + 4 + t.twr + t.trp;
+  ASSERT_GT(ready, 5u);
+  const auto winners = hold_blocked(r, kPortWest, 4, ready + 10);
+  EXPECT_EQ(winners, runs(kPortNorth, ready - 4, kPortEast, 10));
+}
+
+TEST(ArbitrationMemo, RoundRobinAlternatesEveryCycle) {
+  Router r(0, 0, 0, 16, 1, FlowControlKind::kRoundRobin, {});
+  land(r, mk(0, 99, 2, 1), kPortEast, kPortWest, 0);
+  land(r, mk(0, 99, 2, 2), kPortNorth, kPortWest, 0);
+  const auto winners = hold_blocked(r, kPortWest, 1, 9);
+  EXPECT_EQ(winners, (std::vector<Port>{kPortNorth, kPortEast, kPortNorth,
+                                        kPortEast, kPortNorth, kPortEast,
+                                        kPortNorth, kPortEast}));
+}
+
+TEST(ArbitrationMemo, HeadLeavesAThreeStagePipeline) {
+  Router r(0, 0, 0, 16, /*pipeline=*/3, FlowControlKind::kPriorityFirst, {});
+  land(r, mk(0, 99, 2, 1), kPortEast, kPortWest, 0);  // eligible from 3
+  Packet prio = mk(0, 99, 2, 2);
+  prio.svc = ServiceClass::kPriority;
+  // Lands at 10 (head at 11): eligible from 11 + 3 - 1 = 13.
+  const auto winners = hold_blocked(r, kPortWest, 3, 20, [&](Cycle c) {
+    if (c == 10) land(r, prio, kPortNorth, kPortWest, c);
+  });
+  EXPECT_EQ(winners, runs(kPortEast, 10, kPortNorth, 7));
+}
+
+TEST(ArbitrationMemo, GrantElsewhereExposesAHeadForTheBlockedOutput) {
+  Router r(0, 0, 0, 16, 1, FlowControlKind::kPriorityFirst, {});
+  land(r, mk(0, 98, 2, 1), kPortEast, kPortNorth, 0);
+  Packet prio = mk(0, 99, 2, 2);
+  prio.svc = ServiceClass::kPriority;
+  land(r, prio, kPortEast, kPortWest, 1);  // behind the North-bound head
+  land(r, mk(0, 99, 2, 3), kPortSouth, kPortWest, 1);
+  // Granting North at cycle 10 makes the priority packet East's head.
+  const auto winners = hold_blocked(r, kPortWest, 3, 16, [&](Cycle c) {
+    if (c == 10) grant_and_free(r, kPortNorth, c);
+  });
+  EXPECT_EQ(winners, runs(kPortSouth, 7, kPortEast, 6));
+}
+
+TEST(ArbitrationMemo, BlockedUpstreamWinnerMovesAfterItsDownstreamPops) {
+  // A 1x3 mesh streams 4-flit packets (one fills a 4-flit buffer) from
+  // one end to the memory port at the other. The memory sink refuses
+  // everything until cycle 40, so every buffer on the way fills and
+  // each router's winner blocks on its full downstream input. Pinned:
+  // the cycle each router forwards again, with the memory at either
+  // end (routers tick in id order, so a pop reaches the upstream router
+  // the same cycle or the next).
+  const std::pair<NodeId, std::vector<Cycle>> cases[] = {
+      {0, {40, 40, 40}},  // memory at node 0: traffic flows 2 -> 0
+      {2, {42, 41, 40}},  // memory at node 2: traffic flows 0 -> 2
+  };
+  for (const auto& [mem, want] : cases) {
+    NocConfig c;
+    c.width = 3;
+    c.height = 1;
+    c.mem_node = mem;
+    c.buffer_flits = 4;
+    Network net(c, {FlowControlKind::kRoundRobin}, {});
+    MemSink sink;
+    sink.accept_ = false;
+    net.attach_sink(&sink);
+    const NodeId src = 2 - mem;
+    PacketId id = 1;
+    std::vector<Cycle> first_move(3, 0);
+    for (Cycle t = 0; t < 60; ++t) {
+      if (t == 40) sink.accept_ = true;
+      if (net.try_inject(mk(src, mem, 4, id), t)) ++id;
+      std::uint64_t before[3];
+      for (NodeId n = 0; n < 3; ++n) {
+        before[n] = net.router(n).stats().packets_forwarded;
+      }
+      net.tick(t);
+      for (NodeId n = 0; n < 3; ++n) {
+        if (t >= 40 && first_move[n] == 0 &&
+            net.router(n).stats().packets_forwarded > before[n]) {
+          first_move[n] = t;
+        }
+      }
+    }
+    EXPECT_EQ(first_move, want) << "memory at node " << mem;
+    EXPECT_GT(sink.delivered.size(), 3u);
+  }
 }
 
 TEST(Network, PerRouterKindsApplied) {

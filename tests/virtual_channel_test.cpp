@@ -86,6 +86,36 @@ TEST(VirtualChannels, RelieveHeadOfLineBlocking) {
   }
 }
 
+TEST(VirtualChannels, RoundRobinSharesFairlyAtEveryVcCount) {
+  // Round-robin rotates over candidate slots in_port x num_vcs + vc. A
+  // rotation narrower than the slot count aliases slots: at 16 VCs the
+  // west port's VC 1 (slot 65) collided with the local port's (slot 1)
+  // in a 64-slot rotation and lost every tie.
+  for (const std::uint32_t vcs : {1u, 2u, 10u, 11u, 13u, 16u}) {
+    const std::uint32_t vc = 1 % vcs;
+    Router r(0, 0, 0, 16, 1, FlowControlKind::kRoundRobin, {}, vcs);
+    for (PacketId i = 0; i < 8; ++i) {
+      for (const Port in : {kPortLocal, kPortWest}) {
+        Packet p = mk(0, 0, 1, 2 * i + (in == kPortWest ? 1 : 0));
+        p.head_arrival = 1;
+        p.tail_arrival = 1;
+        r.on_arrival(std::move(p), in, vc, kPortMem, 0);
+      }
+    }
+    std::map<Port, int> grants;
+    for (Cycle t = 1; t <= 8; ++t) {
+      const auto win = r.arbitrate(kPortMem, t);
+      ASSERT_TRUE(win.has_value());
+      EXPECT_EQ(win->vc, vc);
+      ++grants[win->port];
+      (void)r.grant(*win, kPortMem, t);
+      r.output(kPortMem).active = false;
+    }
+    EXPECT_EQ(grants[kPortLocal], 4) << vcs << " VCs";
+    EXPECT_EQ(grants[kPortWest], 4) << vcs << " VCs";
+  }
+}
+
 TEST(VirtualChannels, NetworkConservationWithVcs) {
   NocConfig c;
   c.width = 3;
