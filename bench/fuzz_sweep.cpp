@@ -11,20 +11,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
+#include "common/parse_u64.hpp"
 #include "runner/fuzz.hpp"
 
 namespace {
 
-std::uint64_t parse_u64(const char* flag, const char* value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
+std::uint64_t u64_arg(const char* flag, const char* value) {
+  const std::optional<std::uint64_t> v = annoc::parse_u64(value);
+  if (!v) {
     std::fprintf(stderr, "fuzz_sweep: bad value for %s: '%s'\n", flag, value);
     std::exit(2);
   }
-  return static_cast<std::uint64_t>(v);
+  return *v;
 }
 
 }  // namespace
@@ -42,13 +43,13 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seed") {
-      seed = parse_u64("--seed", take("--seed"));
+      seed = u64_arg("--seed", take("--seed"));
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = parse_u64("--seed", arg.c_str() + 7);
+      seed = u64_arg("--seed", arg.c_str() + 7);
     } else if (arg == "--runs") {
-      runs = parse_u64("--runs", take("--runs"));
+      runs = u64_arg("--runs", take("--runs"));
     } else if (arg.rfind("--runs=", 0) == 0) {
-      runs = parse_u64("--runs", arg.c_str() + 7);
+      runs = u64_arg("--runs", arg.c_str() + 7);
     } else if (arg == "--help" || arg == "-h") {
       std::printf("usage: fuzz_sweep [--seed S] [--runs N]\n");
       return 0;

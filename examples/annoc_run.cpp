@@ -10,7 +10,7 @@
 ///     --validate-only     load + validate, run nothing (CI uses this)
 ///     --print             dump the canonical form of each scenario
 ///     --observe[=LEVEL]   override observe: counters (default) or full
-///     --seed=N            override the scenario seed
+///     --seed=N            override the scenario seed (decimal or 0x-hex)
 ///     --record-trace=P    record the run's requests as a replayable
 ///                         trace (one scenario only; see WORKLOADS.md)
 ///     --json-out[=PATH]   metrics as JSON (default stdout; "-" stdout)
@@ -22,9 +22,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/parse_u64.hpp"
 #include "runner/experiment_runner.hpp"
 #include "runner/metrics_export.hpp"
 #include "scenario/scenario.hpp"
@@ -106,12 +108,12 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (parse_opt(a, "--seed", &v)) {
-      char* end = nullptr;
-      opt.seed = std::strtoull(v.c_str(), &end, 0);
-      if (v == "-" || end == v.c_str() || *end != '\0') {
+      const std::optional<std::uint64_t> seed = parse_u64(v);
+      if (!seed) {
         std::fprintf(stderr, "annoc_run: malformed --seed value\n");
         return usage(argv[0]);
       }
+      opt.seed = *seed;
       opt.have_seed = true;
     } else if (parse_opt(a, "--record-trace", &v)) {
       opt.record_trace = v;

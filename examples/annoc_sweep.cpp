@@ -25,8 +25,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
+#include "common/parse_u64.hpp"
 #include "explore/executor.hpp"
 #include "explore/sweep_spec.hpp"
 #include "runner/experiment_runner.hpp"
@@ -55,14 +57,13 @@ bool parse_opt(const char* arg, const char* name, std::string* out) {
 }
 
 std::uint64_t u64_opt(const std::string& v, const char* flag) {
-  char* end = nullptr;
-  const std::uint64_t u = std::strtoull(v.c_str(), &end, 10);
-  if (v.empty() || end != v.c_str() + v.size()) {
+  const std::optional<std::uint64_t> u = parse_u64(v);
+  if (!u) {
     std::fprintf(stderr, "annoc_sweep: malformed %s value '%s'\n", flag,
                  v.c_str());
     std::exit(2);
   }
-  return u;
+  return *u;
 }
 
 const char* mode_name(explore::SweepMode m) {

@@ -17,32 +17,22 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "core/simulator.hpp"
 
 namespace {
 
-annoc::core::DesignPoint parse_design(const char* s) {
-  using annoc::core::DesignPoint;
-  if (!std::strcmp(s, "conv")) return DesignPoint::kConv;
-  if (!std::strcmp(s, "conv+pfs")) return DesignPoint::kConvPfs;
-  if (!std::strcmp(s, "ref4")) return DesignPoint::kRef4;
-  if (!std::strcmp(s, "ref4+pfs")) return DesignPoint::kRef4Pfs;
-  if (!std::strcmp(s, "gss")) return DesignPoint::kGss;
-  if (!std::strcmp(s, "gss+sagm")) return DesignPoint::kGssSagm;
-  if (!std::strcmp(s, "gss+sagm+sti")) return DesignPoint::kGssSagmSti;
-  std::fprintf(stderr, "unknown design '%s'\n", s);
-  std::exit(2);
-}
-
-annoc::traffic::AppId parse_app(const char* s) {
-  using annoc::traffic::AppId;
-  if (!std::strcmp(s, "bluray")) return AppId::kBluray;
-  if (!std::strcmp(s, "sdtv")) return AppId::kSingleDtv;
-  if (!std::strcmp(s, "ddtv")) return AppId::kDualDtv;
-  std::fprintf(stderr, "unknown app '%s'\n", s);
-  std::exit(2);
+/// A positional token of `set`, or the CLI's "unknown <what>" exit.
+template <class E>
+E parse_arg(const annoc::TokenSet<E>& set, const char* what, const char* s) {
+  const std::optional<E> v = set.parse(s);
+  if (!v) {
+    std::fprintf(stderr, "unknown %s '%s'\n", what, s);
+    std::exit(2);
+  }
+  return *v;
 }
 
 unsigned long long ull(std::uint64_t v) {
@@ -54,8 +44,10 @@ unsigned long long ull(std::uint64_t v) {
 int main(int argc, char** argv) {
   using namespace annoc;
   core::SystemConfig cfg;
-  cfg.design = argc > 1 ? parse_design(argv[1]) : core::DesignPoint::kConv;
-  cfg.app = argc > 2 ? parse_app(argv[2]) : traffic::AppId::kBluray;
+  cfg.design = argc > 1 ? parse_arg(core::kDesignTokens, "design", argv[1])
+                         : core::DesignPoint::kConv;
+  cfg.app = argc > 2 ? parse_arg(traffic::kAppTokens, "app", argv[2])
+                     : traffic::AppId::kBluray;
   const int ddr = argc > 3 ? std::atoi(argv[3]) : 2;
   cfg.generation = ddr == 1   ? sdram::DdrGeneration::kDdr1
                    : ddr == 3 ? sdram::DdrGeneration::kDdr3

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "core/simulator.hpp"
 #include "memctrl/streamlined.hpp"
@@ -26,26 +27,15 @@
 
 namespace {
 
-annoc::core::DesignPoint parse_design(const char* s) {
-  using annoc::core::DesignPoint;
-  if (!std::strcmp(s, "conv")) return DesignPoint::kConv;
-  if (!std::strcmp(s, "conv+pfs")) return DesignPoint::kConvPfs;
-  if (!std::strcmp(s, "ref4")) return DesignPoint::kRef4;
-  if (!std::strcmp(s, "ref4+pfs")) return DesignPoint::kRef4Pfs;
-  if (!std::strcmp(s, "gss")) return DesignPoint::kGss;
-  if (!std::strcmp(s, "gss+sagm")) return DesignPoint::kGssSagm;
-  if (!std::strcmp(s, "gss+sagm+sti")) return DesignPoint::kGssSagmSti;
-  std::fprintf(stderr, "unknown design '%s'\n", s);
-  std::exit(2);
-}
-
-annoc::traffic::AppId parse_app(const char* s) {
-  using annoc::traffic::AppId;
-  if (!std::strcmp(s, "bluray")) return AppId::kBluray;
-  if (!std::strcmp(s, "sdtv")) return AppId::kSingleDtv;
-  if (!std::strcmp(s, "ddtv")) return AppId::kDualDtv;
-  std::fprintf(stderr, "unknown app '%s'\n", s);
-  std::exit(2);
+/// A positional token of `set`, or the CLI's "unknown <what>" exit.
+template <class E>
+E parse_arg(const annoc::TokenSet<E>& set, const char* what, const char* s) {
+  const std::optional<E> v = set.parse(s);
+  if (!v) {
+    std::fprintf(stderr, "unknown %s '%s'\n", what, s);
+    std::exit(2);
+  }
+  return *v;
 }
 
 }  // namespace
@@ -60,8 +50,10 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--", 2) == 0) continue;
     if (npos < 4) pos[npos++] = argv[i];
   }
-  cfg.design = pos[0] ? parse_design(pos[0]) : core::DesignPoint::kGss;
-  cfg.app = pos[1] ? parse_app(pos[1]) : traffic::AppId::kSingleDtv;
+  cfg.design = pos[0] ? parse_arg(core::kDesignTokens, "design", pos[0])
+                      : core::DesignPoint::kGss;
+  cfg.app = pos[1] ? parse_arg(traffic::kAppTokens, "app", pos[1])
+                   : traffic::AppId::kSingleDtv;
   const int ddr = pos[2] ? std::atoi(pos[2]) : 2;
   cfg.generation = ddr == 1   ? sdram::DdrGeneration::kDdr1
                    : ddr == 3 ? sdram::DdrGeneration::kDdr3

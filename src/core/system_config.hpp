@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/tokens.hpp"
 #include "common/types.hpp"
 #include "fault/spec.hpp"
 #include "noc/flow_controller.hpp"
@@ -40,6 +41,17 @@ enum class DesignPoint : std::uint8_t {
   return "?";
 }
 
+/// Scenario-file tokens of the design points (`design`, and the design
+/// argument of the example CLIs).
+inline constexpr Token<DesignPoint> kDesignTokenList[] = {
+    {"conv", DesignPoint::kConv},       {"conv+pfs", DesignPoint::kConvPfs},
+    {"ref4", DesignPoint::kRef4},       {"ref4+pfs", DesignPoint::kRef4Pfs},
+    {"gss", DesignPoint::kGss},         {"gss+sagm", DesignPoint::kGssSagm},
+    {"gss+sagm+sti", DesignPoint::kGssSagmSti},
+};
+inline constexpr TokenSet<DesignPoint> kDesignTokens{"design",
+                                                     kDesignTokenList};
+
 /// Does this design split packets per SAGM?
 [[nodiscard]] inline bool uses_sagm(DesignPoint d) {
   return d == DesignPoint::kGssSagm || d == DesignPoint::kGssSagmSti;
@@ -61,13 +73,19 @@ enum class EngineKind : std::uint8_t {
   kDpq,          ///< DPQ bounded-latency arbiter (one request/requestor)
 };
 
+/// "gss_sagm" is the historical name of the streamlined subsystem (it
+/// serves every non-CONV design point, GSS+SAGM first).
+inline constexpr Token<EngineKind> kEngineTokenList[] = {
+    {"conv", EngineKind::kConv},
+    {"streamlined", EngineKind::kStreamlined},
+    {"gss_sagm", EngineKind::kStreamlined},
+    {"dpq", EngineKind::kDpq},
+};
+inline constexpr TokenSet<EngineKind> kEngineTokens{"engine",
+                                                    kEngineTokenList};
+
 [[nodiscard]] inline const char* to_string(EngineKind e) {
-  switch (e) {
-    case EngineKind::kConv: return "conv";
-    case EngineKind::kStreamlined: return "streamlined";
-    case EngineKind::kDpq: return "dpq";
-  }
-  return "?";
+  return kEngineTokens.name(e);
 }
 
 /// The engine a design point runs when no `engine` override is given.
@@ -111,13 +129,16 @@ enum class SchedMode : std::uint8_t {
   kEvent,        ///< per-component wakeups via the EventQueue heap
 };
 
+inline constexpr Token<SchedMode> kSchedTokenList[] = {
+    {"dense", SchedMode::kDense},
+    {"fast_forward", SchedMode::kFastForward},
+    {"event", SchedMode::kEvent},
+};
+inline constexpr TokenSet<SchedMode> kSchedTokens{"sched mode",
+                                                  kSchedTokenList};
+
 [[nodiscard]] inline const char* to_string(SchedMode m) {
-  switch (m) {
-    case SchedMode::kDense: return "dense";
-    case SchedMode::kFastForward: return "fast_forward";
-    case SchedMode::kEvent: return "event";
-  }
-  return "?";
+  return kSchedTokens.name(m);
 }
 
 /// How much the observability layer records (see src/obs/ and the
@@ -132,13 +153,16 @@ enum class ObserveLevel : std::uint8_t {
   kFull,      ///< counters + high-volume per-router events in exports
 };
 
+inline constexpr Token<ObserveLevel> kObserveTokenList[] = {
+    {"off", ObserveLevel::kOff},
+    {"counters", ObserveLevel::kCounters},
+    {"full", ObserveLevel::kFull},
+};
+inline constexpr TokenSet<ObserveLevel> kObserveTokens{"observe level",
+                                                       kObserveTokenList};
+
 [[nodiscard]] inline const char* to_string(ObserveLevel lv) {
-  switch (lv) {
-    case ObserveLevel::kOff: return "off";
-    case ObserveLevel::kCounters: return "counters";
-    case ObserveLevel::kFull: return "full";
-  }
-  return "?";
+  return kObserveTokens.name(lv);
 }
 
 /// Per-controller command-engine overrides for multi-controller

@@ -1,11 +1,11 @@
 #include "explore/sweep_spec.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 
 #include "common/rng.hpp"
 #include "explore/sweep_schema.hpp"
+#include "scenario/object_reader.hpp"
 #include "scenario/scenario.hpp"
 
 namespace annoc::explore {
@@ -14,87 +14,11 @@ namespace {
 using scenario::JsonKind;
 using scenario::JsonMember;
 using scenario::JsonValue;
+using scenario::ObjectReader;
 
 /// Grid sizes above this are almost certainly a typo'd axis, and the
 /// mixed-radix decode below must not overflow.
 constexpr std::uint64_t kMaxJobs = 1ull << 32;
-
-[[noreturn]] void fail(const std::string& origin, const JsonMember& m,
-                       const std::string& msg) {
-  throw ParseError(origin, m.line, m.column, m.name, msg);
-}
-
-/// Same duty as scenario.cpp's ObjectReader (that one is file-local):
-/// reject unknown keys with a positioned diagnostic before any value
-/// is read.
-void check_keys(const JsonValue& obj, const KeyInfo* schema,
-                std::size_t schema_len, const std::string& origin,
-                const char* what) {
-  for (const JsonMember& m : obj.object) {
-    bool known = false;
-    for (std::size_t i = 0; i < schema_len; ++i) {
-      if (m.name == schema[i].key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      fail(origin, m,
-           std::string("unknown ") + what +
-               " key (see docs/CONFIG_REFERENCE.md for the schema)");
-    }
-  }
-}
-
-[[nodiscard]] const JsonMember& require(const JsonValue& obj,
-                                        std::string_view key,
-                                        const std::string& origin) {
-  const JsonMember* m = obj.find(key);
-  if (m == nullptr) {
-    throw ParseError(origin, obj.line, obj.column, std::string(key),
-                     "required key is missing");
-  }
-  return *m;
-}
-
-[[nodiscard]] std::uint64_t u64_of(const JsonMember& m,
-                                   const std::string& origin,
-                                   std::uint64_t min, std::uint64_t max) {
-  if (!m.value().is(JsonKind::kNumber)) {
-    fail(origin, m,
-         std::string("expected an integer, got ") +
-             to_string(m.value().kind));
-  }
-  const double v = m.value().number;
-  if (v < 0.0 || v != std::floor(v) || v > 0x1p53) {
-    fail(origin, m,
-         "expected a non-negative integer, got " + scenario::json_number(v));
-  }
-  const auto u = static_cast<std::uint64_t>(v);
-  if (u < min || u > max) {
-    fail(origin, m,
-         "value " + std::to_string(u) + " out of range [" +
-             std::to_string(min) + ", " + std::to_string(max) + "]");
-  }
-  return u;
-}
-
-/// `sweep_seed` mirrors the scenario `seed` knob: a plain number up to
-/// 2^53, or a decimal string for the full 64-bit range.
-[[nodiscard]] std::uint64_t seed_of(const JsonMember& m,
-                                    const std::string& origin) {
-  if (m.value().is(JsonKind::kString)) {
-    const std::string& sv = m.value().string;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(sv.c_str(), &end, 10);
-    if (sv.empty() || end != sv.c_str() + sv.size()) {
-      fail(origin, m,
-           "malformed seed string '" + sv + "' (want a decimal integer)");
-    }
-    return v;
-  }
-  return u64_of(m, origin, 0, 1ull << 53);
-}
 
 /// A candidate value must be a scalar: it becomes one member of a
 /// sweep-point object, and arrays/objects have no sweepable target.
@@ -114,32 +38,32 @@ void check_scalar(const JsonValue& v, const std::string& key,
                      std::string("expected an axis object, got ") +
                          to_string(axis.kind));
   }
-  check_keys(axis, kAxisKeys, kNumAxisKeys, origin, "axis");
+  const ObjectReader r(axis, kAxisKeys, origin, "axis");
   SweepAxis out;
-  const JsonMember& key = require(axis, "key", origin);
+  const JsonMember& key = r.require("key");
   if (!key.value().is(JsonKind::kString)) {
-    fail(origin, key, "expected a string (a scenario key)");
+    r.fail(key, "expected a string (a scenario key)");
   }
   out.key = key.value().string;
   if (!scenario::is_sweepable_key(out.key)) {
-    fail(origin, key,
-         "'" + out.key +
-             "' is not a sweepable scenario key (workload structure and "
-             "output paths are fixed; see docs/CONFIG_REFERENCE.md)");
+    r.fail(key, "'" + out.key +
+                    "' is not a sweepable scenario key (workload structure "
+                    "and output paths are fixed; see "
+                    "docs/CONFIG_REFERENCE.md)");
   }
 
-  const JsonMember* values = axis.find("values");
-  const JsonMember* range = axis.find("range");
+  const JsonMember* values = r.find("values");
+  const JsonMember* range = r.find("range");
   if ((values != nullptr) == (range != nullptr)) {
     throw ParseError(origin, axis.line, axis.column, out.key,
                      "an axis wants exactly one of 'values' and 'range'");
   }
   if (values != nullptr) {
     if (!values->value().is(JsonKind::kArray)) {
-      fail(origin, *values, "expected an array of scalar values");
+      r.fail(*values, "expected an array of scalar values");
     }
     if (values->value().array.empty()) {
-      fail(origin, *values, "an axis needs at least one value");
+      r.fail(*values, "an axis needs at least one value");
     }
     for (const JsonValue& v : values->value().array) {
       check_scalar(v, out.key, origin);
@@ -149,22 +73,17 @@ void check_scalar(const JsonValue& v, const std::string& key,
   }
 
   if (!range->value().is(JsonKind::kObject)) {
-    fail(origin, *range, "expected an object {from, to, steps}");
+    r.fail(*range, "expected an object {from, to, steps}");
   }
-  const JsonValue& r = range->value();
-  check_keys(r, kRangeKeys, kNumRangeKeys, origin, "range");
-  const JsonMember& from_m = require(r, "from", origin);
-  const JsonMember& to_m = require(r, "to", origin);
-  if (!from_m.value().is(JsonKind::kNumber)) {
-    fail(origin, from_m, "expected a number");
-  }
-  if (!to_m.value().is(JsonKind::kNumber)) {
-    fail(origin, to_m, "expected a number");
+  const ObjectReader rr(range->value(), kRangeKeys, origin, "range");
+  const JsonMember& from_m = rr.require("from");
+  const JsonMember& to_m = rr.require("to");
+  for (const JsonMember* m : {&from_m, &to_m}) {
+    if (!m->value().is(JsonKind::kNumber)) rr.fail(*m, "expected a number");
   }
   const double from = from_m.value().number;
   const double to = to_m.value().number;
-  const std::uint64_t steps =
-      u64_of(require(r, "steps", origin), origin, 1, kMaxJobs);
+  const std::uint64_t steps = rr.u64_of(rr.require("steps"), 1, kMaxJobs);
   for (std::uint64_t k = 0; k < steps; ++k) {
     JsonValue v;
     v.kind = JsonKind::kNumber;
@@ -277,18 +196,15 @@ SweepSpec parse_sweep_spec(std::string_view text, const std::string& origin,
     throw ParseError(origin, root.line, root.column, "",
                      "a sweep spec must be a JSON object");
   }
-  check_keys(root, kSweepKeys, kNumSweepKeys, origin, "sweep");
+  const ObjectReader r(root, kSweepKeys, origin, "sweep");
 
   SweepSpec spec;
   spec.origin = origin;
-  if (const JsonMember* m = root.find("name")) {
-    if (!m->value().is(JsonKind::kString)) fail(origin, *m, "expected a string");
-    spec.name = m->value().string;
-  }
+  if (const JsonMember* m = r.find("name")) spec.name = r.string_of(*m);
 
-  if (const JsonMember* m = root.find("scenario")) {
+  if (const JsonMember* m = r.find("scenario")) {
     if (!m->value().is(JsonKind::kString)) {
-      fail(origin, *m, "expected a string (a scenario file path)");
+      r.fail(*m, "expected a string (a scenario file path)");
     }
     spec.scenario_path = m->value().string;
   }
@@ -305,37 +221,36 @@ SweepSpec parse_sweep_spec(std::string_view text, const std::string& origin,
     spec.application = "default";
   }
 
-  if (const JsonMember* m = root.find("mode")) {
-    if (!m->value().is(JsonKind::kString)) fail(origin, *m, "expected a string");
-    const std::string& s = m->value().string;
+  if (const JsonMember* m = r.find("mode")) {
+    const std::string s = r.string_of(*m);
     if (s == "grid") {
       spec.mode = SweepMode::kGrid;
     } else if (s == "random") {
       spec.mode = SweepMode::kRandom;
     } else {
-      fail(origin, *m, "unknown mode '" + s + "'; expected grid or random");
+      r.fail(*m, "unknown mode '" + s + "'; expected grid or random");
     }
   }
 
-  const JsonMember* samples = root.find("samples");
+  const JsonMember* samples = r.find("samples");
   if (spec.mode == SweepMode::kRandom) {
     if (samples == nullptr) {
       throw ParseError(origin, root.line, root.column, "samples",
                        "random mode needs a sample count");
     }
-    spec.samples = u64_of(*samples, origin, 1, kMaxJobs);
+    spec.samples = r.u64_of(*samples, 1, kMaxJobs);
   } else if (samples != nullptr) {
-    fail(origin, *samples,
-         "'samples' only applies to random mode; a grid's size is the "
-         "product of its axes");
+    r.fail(*samples,
+           "'samples' only applies to random mode; a grid's size is the "
+           "product of its axes");
   }
-  if (const JsonMember* m = root.find("sweep_seed")) {
-    spec.sweep_seed = seed_of(*m, origin);
+  if (const JsonMember* m = r.find("sweep_seed")) {
+    spec.sweep_seed = r.seed_of(*m);
   }
 
-  const JsonMember& axes = require(root, "axes", origin);
+  const JsonMember& axes = r.require("axes");
   if (!axes.value().is(JsonKind::kArray) || axes.value().array.empty()) {
-    fail(origin, axes, "expected a non-empty array of axis objects");
+    r.fail(axes, "expected a non-empty array of axis objects");
   }
   std::uint64_t grid = 1;
   for (const JsonValue& av : axes.value().array) {

@@ -1,7 +1,6 @@
 #include "fault/schedule.hpp"
 
 #include <algorithm>
-#include <string_view>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -30,31 +29,13 @@ std::vector<std::uint32_t> sdram_channels(const FabricInfo& fabric) {
 /// pure function of the knob string.
 std::vector<FaultKind> usable_kinds(const std::string& kinds,
                                     const FabricInfo& fabric) {
-  std::vector<FaultKind> all;
-  if (kinds == "all" || kinds.empty()) {
-    all = {FaultKind::kDeadLink, FaultKind::kDegradedLink,
-           FaultKind::kSlowRouter, FaultKind::kRefreshStorm,
-           FaultKind::kThrottledBanks};
-  } else {
-    std::string_view rest = kinds;
-    while (!rest.empty()) {
-      const std::size_t comma = rest.find(',');
-      std::string_view tok = rest.substr(0, comma);
-      rest = comma == std::string_view::npos ? std::string_view{}
-                                             : rest.substr(comma + 1);
-      while (!tok.empty() && tok.front() == ' ') tok.remove_prefix(1);
-      while (!tok.empty() && tok.back() == ' ') tok.remove_suffix(1);
-      if (tok.empty()) continue;
-      const std::optional<FaultKind> k = parse_fault_kind(tok);
-      // Unknown tokens were rejected by the scenario parser; a direct
-      // caller handing a bad list gets the assert.
-      ANNOC_ASSERT(k.has_value());
-      all.push_back(*k);
-    }
-  }
+  const FaultKindList list = parse_fault_kinds(kinds);
+  // Unknown tokens were rejected by the scenario parser; a direct caller
+  // handing a bad list gets the assert.
+  ANNOC_ASSERT(list.unknown.empty());
   const bool any_sdram = !sdram_channels(fabric).empty();
   std::vector<FaultKind> out;
-  for (const FaultKind k : all) {
+  for (const FaultKind k : list.kinds) {
     const bool is_link =
         k == FaultKind::kDeadLink || k == FaultKind::kDegradedLink;
     const bool is_sdram =

@@ -9,8 +9,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <vector>
 
+#include "common/tokens.hpp"
 #include "common/types.hpp"
 
 namespace annoc::fault {
@@ -25,26 +28,52 @@ enum class FaultKind : std::uint8_t {
   kThrottledBanks,  ///< selected banks pay inflated tRCD/tRP
 };
 
+inline constexpr Token<FaultKind> kFaultKindTokenList[] = {
+    {"dead_link", FaultKind::kDeadLink},
+    {"degraded_link", FaultKind::kDegradedLink},
+    {"slow_router", FaultKind::kSlowRouter},
+    {"refresh_storm", FaultKind::kRefreshStorm},
+    {"throttled_banks", FaultKind::kThrottledBanks},
+};
+inline constexpr TokenSet<FaultKind> kFaultKindTokens{"fault kind",
+                                                      kFaultKindTokenList};
+
 [[nodiscard]] inline const char* to_string(FaultKind k) {
-  switch (k) {
-    case FaultKind::kDeadLink: return "dead_link";
-    case FaultKind::kDegradedLink: return "degraded_link";
-    case FaultKind::kSlowRouter: return "slow_router";
-    case FaultKind::kRefreshStorm: return "refresh_storm";
-    case FaultKind::kThrottledBanks: return "throttled_banks";
-  }
-  return "?";
+  return kFaultKindTokens.name(k);
 }
 
-/// Parse the scenario-file token; nullopt on an unknown kind.
-[[nodiscard]] inline std::optional<FaultKind> parse_fault_kind(
-    std::string_view s) {
-  if (s == "dead_link") return FaultKind::kDeadLink;
-  if (s == "degraded_link") return FaultKind::kDegradedLink;
-  if (s == "slow_router") return FaultKind::kSlowRouter;
-  if (s == "refresh_storm") return FaultKind::kRefreshStorm;
-  if (s == "throttled_banks") return FaultKind::kThrottledBanks;
-  return std::nullopt;
+/// A parsed `fault.kinds` list: "all" or "" name every kind, otherwise
+/// comma-separated kind tokens (blanks around a token are ignored), kept
+/// in list order.
+struct FaultKindList {
+  std::vector<FaultKind> kinds;
+  std::string unknown;  ///< the first token that names no kind, if any
+};
+
+[[nodiscard]] inline FaultKindList parse_fault_kinds(std::string_view list) {
+  FaultKindList out;
+  if (list == "all" || list.empty()) {
+    for (const Token<FaultKind>& t : kFaultKindTokens.tokens) {
+      out.kinds.push_back(t.value);
+    }
+    return out;
+  }
+  while (!list.empty()) {
+    const std::size_t comma = list.find(',');
+    std::string_view tok = list.substr(0, comma);
+    list = comma == std::string_view::npos ? std::string_view{}
+                                           : list.substr(comma + 1);
+    while (!tok.empty() && tok.front() == ' ') tok.remove_prefix(1);
+    while (!tok.empty() && tok.back() == ' ') tok.remove_suffix(1);
+    if (tok.empty()) continue;
+    const std::optional<FaultKind> k = kFaultKindTokens.parse(tok);
+    if (!k) {
+      out.unknown = tok;
+      return out;
+    }
+    out.kinds.push_back(*k);
+  }
+  return out;
 }
 
 /// One fault: what, when, and the kind-specific parameters. Fields not

@@ -6,10 +6,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "common/env.hpp"
+#include "common/parse_u64.hpp"
 
 namespace annoc::runner {
 namespace {
@@ -44,14 +47,13 @@ unsigned resolve_jobs(unsigned requested) {
 unsigned parse_jobs(int argc, char** argv) {
   const auto parse_value = [&](const char* text,
                                const char* flag) -> unsigned {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0') {
+    const std::optional<std::uint64_t> v = parse_u64(text);
+    if (!v || *v > std::numeric_limits<unsigned>::max()) {
       std::fprintf(stderr, "%s: %s expects a non-negative integer, got '%s'\n",
                    argv[0], flag, text);
       std::exit(2);
     }
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(*v);
   };
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];

@@ -1,435 +1,56 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <vector>
 
 #include "common/assert.hpp"
-#include "fault/spec.hpp"
 #include "noc/topology.hpp"
-#include "scenario/json.hpp"
-#include "scenario/schema.hpp"
+#include "scenario/object_reader.hpp"
 
 namespace annoc::scenario {
 namespace {
 
-/// Largest integer a JSON double carries exactly.
-constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
-
-/// Typed, schema-checked view of one JSON object. Construction rejects
-/// unknown keys (pointing at the key's own line); getters reject wrong
-/// types and out-of-range values the same way.
-class ObjectReader {
- public:
-  ObjectReader(const JsonValue& obj, const KeyInfo* schema,
-               std::size_t schema_len, const std::string& origin,
-               const char* what)
-      : obj_(obj), origin_(origin) {
-    for (const JsonMember& m : obj.object) {
-      bool known = false;
-      for (std::size_t i = 0; i < schema_len; ++i) {
-        if (m.name == schema[i].key) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        throw ParseError(origin_, m.line, m.column, m.name,
-                         std::string("unknown ") + what +
-                             " key (see docs/WORKLOADS.md for the schema)");
-      }
-    }
-  }
-
-  [[nodiscard]] const JsonMember* find(std::string_view key) const {
-    return obj_.find(key);
-  }
-
-  [[noreturn]] void fail(const JsonMember& m, const std::string& msg) const {
-    throw ParseError(origin_, m.line, m.column, m.name, msg);
-  }
-
-  /// Error anchored at the object itself (for missing required keys).
-  [[noreturn]] void fail_missing(const std::string& key) const {
-    throw ParseError(origin_, obj_.line, obj_.column, key,
-                     "required key is missing");
-  }
-
-  [[nodiscard]] bool get_bool(std::string_view key, bool def) const {
-    const JsonMember* m = find(key);
-    if (m == nullptr) return def;
-    if (!m->value().is(JsonKind::kBool)) {
-      fail(*m, type_msg(*m, "true or false"));
-    }
-    return m->value().boolean;
-  }
-
-  [[nodiscard]] std::string get_string(std::string_view key,
-                                       std::string def) const {
-    const JsonMember* m = find(key);
-    if (m == nullptr) return def;
-    if (!m->value().is(JsonKind::kString)) {
-      fail(*m, type_msg(*m, "a string"));
-    }
-    return m->value().string;
-  }
-
-  [[nodiscard]] double get_double(std::string_view key, double def,
-                                  double min, double max) const {
-    const JsonMember* m = find(key);
-    if (m == nullptr) return def;
-    return double_of(*m, min, max);
-  }
-
-  [[nodiscard]] std::uint64_t get_u64(std::string_view key,
-                                      std::uint64_t def,
-                                      std::uint64_t min = 0,
-                                      std::uint64_t max = 1ull << 53) const {
-    const JsonMember* m = find(key);
-    if (m == nullptr) return def;
-    return u64_of(*m, min, max);
-  }
-
-  [[nodiscard]] std::uint64_t require_u64(std::string_view key,
-                                          std::uint64_t min,
-                                          std::uint64_t max) const {
-    const JsonMember* m = find(key);
-    if (m == nullptr) fail_missing(std::string(key));
-    return u64_of(*m, min, max);
-  }
-
-  /// "number|null" knobs (nullopt = design default).
-  [[nodiscard]] std::optional<std::uint32_t> get_opt_u32(
-      std::string_view key, std::uint64_t min, std::uint64_t max) const {
-    const JsonMember* m = find(key);
-    if (m == nullptr || m->value().is(JsonKind::kNull)) return std::nullopt;
-    return static_cast<std::uint32_t>(u64_of(*m, min, max));
-  }
-
-  [[nodiscard]] double double_of(const JsonMember& m, double min,
-                                 double max) const {
-    if (!m.value().is(JsonKind::kNumber)) {
-      fail(m, type_msg(m, "a number"));
-    }
-    const double v = m.value().number;
-    if (v < min || v > max) {
-      fail(m, "value " + json_number(v) + " out of range [" +
-                  json_number(min) + ", " + json_number(max) + "]");
-    }
-    return v;
-  }
-
-  [[nodiscard]] std::uint64_t u64_of(const JsonMember& m, std::uint64_t min,
-                                     std::uint64_t max) const {
-    if (!m.value().is(JsonKind::kNumber)) {
-      fail(m, type_msg(m, "an integer"));
-    }
-    const double v = m.value().number;
-    if (v < 0.0 || v != std::floor(v) || v > kMaxExactInt) {
-      fail(m, "expected a non-negative integer, got " + json_number(v));
-    }
-    const auto u = static_cast<std::uint64_t>(v);
-    if (u < min || u > max) {
-      fail(m, "value " + std::to_string(u) + " out of range [" +
-                  std::to_string(min) + ", " + std::to_string(max) + "]");
-    }
-    return u;
-  }
-
- private:
-  [[nodiscard]] static std::string type_msg(const JsonMember& m,
-                                            const char* want) {
-    return std::string("expected ") + want + ", got " +
-           to_string(m.value().kind);
-  }
-
-  const JsonValue& obj_;
-  const std::string& origin_;
-};
-
-core::DesignPoint parse_design(const ObjectReader& r,
-                               core::DesignPoint current) {
-  const JsonMember* m = r.find("design");
-  if (m == nullptr) return current;
-  if (!m->value().is(JsonKind::kString)) {
-    r.fail(*m, "expected a string");
-  }
-  const std::string& s = m->value().string;
-  if (s == "conv") return core::DesignPoint::kConv;
-  if (s == "conv+pfs") return core::DesignPoint::kConvPfs;
-  if (s == "ref4") return core::DesignPoint::kRef4;
-  if (s == "ref4+pfs") return core::DesignPoint::kRef4Pfs;
-  if (s == "gss") return core::DesignPoint::kGss;
-  if (s == "gss+sagm") return core::DesignPoint::kGssSagm;
-  if (s == "gss+sagm+sti") return core::DesignPoint::kGssSagmSti;
-  r.fail(*m, "unknown design '" + s +
-                 "'; expected conv, conv+pfs, ref4, ref4+pfs, gss, "
-                 "gss+sagm or gss+sagm+sti");
-}
-
-traffic::AppId parse_app(const ObjectReader& r, const JsonMember& m) {
-  if (!m.value().is(JsonKind::kString)) {
-    r.fail(m, "expected a string");
-  }
-  const std::string& s = m.value().string;
-  if (s == "bluray") return traffic::AppId::kBluray;
-  if (s == "sdtv") return traffic::AppId::kSingleDtv;
-  if (s == "ddtv") return traffic::AppId::kDualDtv;
-  r.fail(m, "unknown application '" + s +
-                "'; expected bluray, sdtv or ddtv");
-}
-
-sdram::DdrGeneration parse_ddr(const ObjectReader& r,
-                               sdram::DdrGeneration current) {
-  if (r.find("ddr") == nullptr) return current;
-  switch (r.get_u64("ddr", 2, 1, 3)) {
-    case 1: return sdram::DdrGeneration::kDdr1;
-    case 3: return sdram::DdrGeneration::kDdr3;
-    default: return sdram::DdrGeneration::kDdr2;
-  }
-}
-
-core::ObserveLevel parse_observe(const ObjectReader& r,
-                                 core::ObserveLevel current) {
-  const JsonMember* m = r.find("observe");
-  if (m == nullptr) return current;
-  if (!m->value().is(JsonKind::kString)) {
-    r.fail(*m, "expected a string");
-  }
-  const std::string& s = m->value().string;
-  if (s == "off") return core::ObserveLevel::kOff;
-  if (s == "counters") return core::ObserveLevel::kCounters;
-  if (s == "full") return core::ObserveLevel::kFull;
-  r.fail(*m, "unknown observe level '" + s +
-                 "'; expected off, counters or full");
-}
-
-std::optional<core::SchedMode> parse_sched(
-    const ObjectReader& r, std::optional<core::SchedMode> current) {
-  const JsonMember* m = r.find("sched");
-  if (m == nullptr) return current;
-  if (!m->value().is(JsonKind::kString)) {
-    r.fail(*m, "expected a string");
-  }
-  const std::string& s = m->value().string;
-  if (s == "dense") return core::SchedMode::kDense;
-  if (s == "fast_forward") return core::SchedMode::kFastForward;
-  if (s == "event") return core::SchedMode::kEvent;
-  r.fail(*m, "unknown sched mode '" + s +
-                 "'; expected dense, fast_forward or event");
-}
-
-std::optional<core::EngineKind> parse_engine(
-    const ObjectReader& r, std::optional<core::EngineKind> current) {
-  const JsonMember* m = r.find("engine");
-  if (m == nullptr) return current;
-  if (m->value().is(JsonKind::kNull)) return std::nullopt;
-  if (!m->value().is(JsonKind::kString)) {
-    r.fail(*m, "expected a string");
-  }
-  const std::string& s = m->value().string;
-  if (s == "conv") return core::EngineKind::kConv;
-  // "gss_sagm" is accepted as the historical name of the streamlined
-  // subsystem (it serves every non-CONV design point, GSS+SAGM first).
-  if (s == "streamlined" || s == "gss_sagm") {
-    return core::EngineKind::kStreamlined;
-  }
-  if (s == "dpq") return core::EngineKind::kDpq;
-  r.fail(*m, "unknown engine '" + s +
-                 "'; expected conv, streamlined (alias gss_sagm) or dpq");
-}
-
-traffic::TrafficPattern parse_pattern(const ObjectReader& r) {
-  const JsonMember* m = r.find("pattern");
-  if (m == nullptr) return traffic::TrafficPattern::kRandom;
-  if (!m->value().is(JsonKind::kString)) {
-    r.fail(*m, "expected a string");
-  }
-  const std::string& s = m->value().string;
-  if (s == "random") return traffic::TrafficPattern::kRandom;
-  if (s == "hotspot") return traffic::TrafficPattern::kHotspot;
-  if (s == "bursty") return traffic::TrafficPattern::kBursty;
-  if (s == "frame") return traffic::TrafficPattern::kFramePeriodic;
-  r.fail(*m, "unknown pattern '" + s +
-                 "'; expected random, hotspot, bursty or frame");
-}
-
-std::vector<traffic::SizeMix> parse_sizes(const ObjectReader& core_r,
+std::vector<traffic::SizeMix> parse_sizes(const JsonMember& m,
+                                          const ObjectReader& core_r,
                                           const std::string& origin) {
-  const JsonMember* m = core_r.find("sizes");
-  if (m == nullptr) return {{32, 1.0}};
-  if (!m->value().is(JsonKind::kArray) || m->value().array.empty()) {
-    core_r.fail(*m, "expected a non-empty array of {bytes, weight} objects");
+  if (!m.value().is(JsonKind::kArray) || m.value().array.empty()) {
+    core_r.fail(m, "expected a non-empty array of {bytes, weight} objects");
   }
+  static constexpr KeyInfo kSizeKeys[] = {
+      {"bytes", "number", "-", hand(), ""},
+      {"weight", "number", "-", hand(), ""},
+  };
   std::vector<traffic::SizeMix> mix;
-  for (const JsonValue& e : m->value().array) {
+  for (const JsonValue& e : m.value().array) {
     if (!e.is(JsonKind::kObject)) {
       throw ParseError(origin, e.line, e.column, "sizes",
                        "each size entry must be a {bytes, weight} object");
     }
-    static constexpr KeyInfo kSizeKeys[] = {
-        {"bytes", "number", "-", ""},
-        {"weight", "number", "-", ""},
-    };
-    ObjectReader er(e, kSizeKeys, 2, origin, "size entry");
+    ObjectReader er(e, kSizeKeys, origin, "size entry");
     traffic::SizeMix sm;
-    sm.bytes = static_cast<std::uint32_t>(
-        er.require_u64("bytes", 1, 1u << 20));
-    const JsonMember* w = er.find("weight");
-    if (w == nullptr) er.fail_missing("weight");
-    sm.weight = er.double_of(*w, 0.0, 1.0e12);
+    sm.bytes =
+        static_cast<std::uint32_t>(er.u64_of(er.require("bytes"), 1, 1u << 20));
+    const JsonMember& w = er.require("weight");
+    sm.weight = er.double_of(w, 0.0, 1.0e12);
     if (sm.weight <= 0.0) {
-      er.fail(*w, "weight must be > 0");
+      er.fail(w, "weight must be > 0");
     }
     mix.push_back(sm);
   }
   return mix;
 }
 
-/// Apply every *present* top-level scalar key onto `cfg`, leaving
-/// absent keys at their current value. Shared between parse_scenario
-/// (where cfg starts at the struct defaults, so "keep current" equals
-/// the documented schema defaults) and apply_overrides (where cfg is an
-/// already-loaded base config and a sweep point perturbs a few knobs).
-void apply_scalar_keys(const ObjectReader& r, core::SystemConfig& cfg) {
-  cfg.design = parse_design(r, cfg.design);
-  cfg.generation = parse_ddr(r, cfg.generation);
-  cfg.clock_mhz = r.get_double("clock_mhz", cfg.clock_mhz, 1.0, 100000.0);
-  cfg.priority_enabled = r.get_bool("priority", cfg.priority_enabled);
-  cfg.model_response_path =
-      r.get_bool("model_response_path", cfg.model_response_path);
-  cfg.sim_cycles = r.get_u64("measure_cycles", cfg.sim_cycles, 1, 1ull << 40);
-  cfg.warmup_cycles =
-      r.get_u64("warmup_cycles", cfg.warmup_cycles, 0, 1ull << 40);
-  cfg.drain_cycle_limit =
-      r.get_u64("drain_cycle_limit", cfg.drain_cycle_limit, 0, 1ull << 40);
-  // Seeds use the full 64-bit range; a JSON number only carries 53 bits
-  // exactly, so large seeds are written (and accepted) as a decimal
-  // string instead of silently losing low bits.
-  if (const JsonMember* m = r.find("seed")) {
-    if (m->value().is(JsonKind::kString)) {
-      const std::string& sv = m->value().string;
-      char* end = nullptr;
-      errno = 0;
-      const std::uint64_t v = std::strtoull(sv.c_str(), &end, 0);
-      if (sv.empty() || end != sv.c_str() + sv.size() || errno == ERANGE) {
-        r.fail(*m, "malformed seed string '" + sv +
-                       "' (decimal or 0x-hex integer)");
-      }
-      cfg.seed = v;
-    } else {
-      cfg.seed = r.u64_of(*m, 0, 1ull << 53);
-    }
-  }
-  cfg.fast_forward = r.get_bool("fast_forward", cfg.fast_forward);
-  cfg.sched = parse_sched(r, cfg.sched);
-  cfg.audit_horizons = r.get_bool("audit_horizons", cfg.audit_horizons);
-  cfg.pct = static_cast<std::uint32_t>(r.get_u64("pct", cfg.pct, 2, 6));
-  if (r.find("num_gss_routers") != nullptr) {
-    cfg.num_gss_routers = r.get_opt_u32("num_gss_routers", 0, 1u << 12);
-  }
-  cfg.engine = parse_engine(r, cfg.engine);
-  cfg.dpq_promote_after =
-      r.get_u64("dpq_promote_after", cfg.dpq_promote_after, 0, 1ull << 32);
-  if (r.find("engine_lookahead") != nullptr) {
-    cfg.engine_lookahead = r.get_opt_u32("engine_lookahead", 0, 64);
-  }
-  if (r.find("engine_reorder_depth") != nullptr) {
-    cfg.engine_reorder_depth = r.get_opt_u32("engine_reorder_depth", 1, 1024);
-  }
-  if (r.find("engine_window") != nullptr) {
-    cfg.engine_window = r.get_opt_u32("engine_window", 1, 1024);
-  }
-  cfg.map_chunk_bytes = static_cast<std::uint32_t>(
-      r.get_u64("map_chunk_bytes", cfg.map_chunk_bytes, 0, 1u << 20));
-  cfg.num_vcs =
-      static_cast<std::uint32_t>(r.get_u64("num_vcs", cfg.num_vcs, 1, 16));
-  cfg.adaptive_routing = r.get_bool("adaptive_routing", cfg.adaptive_routing);
-  cfg.observe = parse_observe(r, cfg.observe);
-  cfg.perfetto_path = r.get_string("perfetto_path", cfg.perfetto_path);
-  cfg.trace_path = r.get_string("trace_path", cfg.trace_path);
-  cfg.record_trace_path = r.get_string("record_trace", cfg.record_trace_path);
-  cfg.replay_trace_path = r.get_string("replay_trace", cfg.replay_trace_path);
-  cfg.check = r.get_bool("check", cfg.check);
-  cfg.refresh = r.get_bool("refresh", cfg.refresh);
-  cfg.split_beats = static_cast<std::uint32_t>(
-      r.get_u64("split_beats", cfg.split_beats, 0, 64));
-  cfg.num_controllers = static_cast<std::uint32_t>(
-      r.get_u64("num_controllers", cfg.num_controllers, 1, 64));
-  if (r.find("interleave_shift") != nullptr) {
-    cfg.interleave_shift = r.get_opt_u32("interleave_shift", 3, 30);
-  }
-  if (const JsonMember* m = r.find("mesh_preset")) {
-    if (!m->value().is(JsonKind::kString)) {
-      r.fail(*m, "expected a string");
-    }
-    const std::string& s = m->value().string;
-    std::uint32_t w = 0, h = 0;
-    if (!s.empty() && !core::parse_mesh_preset(s, &w, &h)) {
-      r.fail(*m, "malformed mesh preset '" + s +
-                     "'; expected \"WxH\" with 1 <= W,H <= 64");
-    }
-    cfg.mesh_preset = s;
-  }
-  cfg.watchdog_cycles =
-      r.get_u64("watchdog_cycles", cfg.watchdog_cycles, 0, 1ull << 40);
-  // fault.seed follows the same string-or-number convention as seed.
-  if (const JsonMember* m = r.find("fault.seed")) {
-    if (m->value().is(JsonKind::kString)) {
-      const std::string& sv = m->value().string;
-      char* end = nullptr;
-      errno = 0;
-      const std::uint64_t v = std::strtoull(sv.c_str(), &end, 0);
-      if (sv.empty() || end != sv.c_str() + sv.size() || errno == ERANGE) {
-        r.fail(*m, "malformed seed string '" + sv +
-                       "' (decimal or 0x-hex integer)");
-      }
-      cfg.fault_seed = v;
-    } else {
-      cfg.fault_seed = r.u64_of(*m, 0, 1ull << 53);
-    }
-  }
-  cfg.fault_count = static_cast<std::uint32_t>(
-      r.get_u64("fault.count", cfg.fault_count, 0, 4096));
-  if (const JsonMember* m = r.find("fault.kinds")) {
-    if (!m->value().is(JsonKind::kString)) {
-      r.fail(*m, "expected a string");
-    }
-    const std::string& s = m->value().string;
-    if (s != "all" && !s.empty()) {
-      std::string_view rest = s;
-      while (!rest.empty()) {
-        const std::size_t comma = rest.find(',');
-        std::string_view tok = rest.substr(0, comma);
-        rest = comma == std::string_view::npos ? std::string_view{}
-                                               : rest.substr(comma + 1);
-        while (!tok.empty() && tok.front() == ' ') tok.remove_prefix(1);
-        while (!tok.empty() && tok.back() == ' ') tok.remove_suffix(1);
-        if (tok.empty()) continue;
-        if (!fault::parse_fault_kind(tok)) {
-          r.fail(*m, "unknown fault kind '" + std::string(tok) +
-                         "'; expected dead_link, degraded_link, "
-                         "slow_router, refresh_storm, throttled_banks "
-                         "or all");
-        }
-      }
-    }
-    cfg.fault_kinds = s;
-  }
-  cfg.fault_start = r.get_u64("fault.start", cfg.fault_start, 0, 1ull << 40);
-  cfg.fault_spacing =
-      r.get_u64("fault.spacing", cfg.fault_spacing, 0, 1ull << 40);
-  cfg.fault_duration =
-      r.get_u64("fault.duration", cfg.fault_duration, 0, 1ull << 40);
-  // Cross-field: a channel granule wider than the address-map chunk
-  // would let one request straddle two controllers. Only diagnosable
-  // here when one of the involved keys is present; the MemoryMap
-  // asserts the same invariant at simulator construction.
+/// Cross-field: a channel granule wider than the address-map chunk would
+/// let one request straddle two controllers. Only diagnosable when one
+/// of the involved keys is present; the MemoryMap asserts the same
+/// invariant at simulator construction.
+void check_channel_granule(const ObjectReader& r,
+                           const core::SystemConfig& cfg) {
   const std::uint32_t chunk =
       cfg.map_chunk_bytes != 0 ? cfg.map_chunk_bytes : 256u;
   if (cfg.num_controllers > 1 && cfg.interleave_shift &&
@@ -464,17 +85,16 @@ ParsedCore parse_core(const JsonValue& v, const std::string& origin,
     throw ParseError(origin, v.line, v.column, "cores",
                      "each core must be an object");
   }
-  ObjectReader r(v, kCoreKeys, kNumCoreKeys, origin, "core");
+  ObjectReader r(v, kCoreKeys, origin, "core");
   ParsedCore pc;
   pc.value = &v;
   traffic::CoreSpec& s = pc.spec;
   {
-    const JsonMember* m = r.find("name");
-    if (m == nullptr) r.fail_missing("name");
-    if (!m->value().is(JsonKind::kString) || m->value().string.empty()) {
-      r.fail(*m, "expected a non-empty string");
+    const JsonMember& m = r.require("name");
+    if (!m.value().is(JsonKind::kString) || m.value().string.empty()) {
+      r.fail(m, "expected a non-empty string");
     }
-    s.name = m->value().string;
+    s.name = m.value().string;
   }
   if (const JsonMember* m = r.find("node")) {
     if (m->value().is(JsonKind::kString)) {
@@ -492,31 +112,14 @@ ParsedCore parse_core(const JsonValue& v, const std::string& origin,
       pc.node = static_cast<NodeId>(r.u64_of(*m, 0, mesh_nodes - 1));
     }
   }
-  s.bytes_per_cycle = r.get_double("bytes_per_cycle", 1.0, 0.0, 1.0e6);
-  s.read_fraction = r.get_double("read_fraction", 0.7, 0.0, 1.0);
-  s.sequential_fraction = r.get_double("sequential_fraction", 0.9, 0.0, 1.0);
-  s.sizes = parse_sizes(r, origin);
-  s.max_outstanding =
-      static_cast<std::uint32_t>(r.get_u64("max_outstanding", 8, 1, 4096));
-  s.open_loop = r.get_bool("open_loop", false);
-  s.is_mpu = r.get_bool("is_mpu", false);
-  s.demand_fraction = r.get_double("demand_fraction", 0.0, 0.0, 1.0);
-  s.demand_bytes =
-      static_cast<std::uint32_t>(r.get_u64("demand_bytes", 32, 1, 1u << 20));
+  r.read_bound(s);
+  if (const JsonMember* m = r.find("sizes")) {
+    s.sizes = parse_sizes(*m, r, origin);
+  }
   if (const JsonMember* m = r.find("region_base")) {
     pc.explicit_region = true;
     s.region_base = r.u64_of(*m, 0, 1ull << 48);
   }
-  s.region_bytes = r.get_u64("region_bytes", 4u << 20, 4096, 1ull << 40);
-  s.placement_weight = r.get_double("placement_weight", 0.0, 0.0, 1.0e6);
-  s.pattern = parse_pattern(r);
-  s.hotspot_fraction = r.get_double("hotspot_fraction", 0.8, 0.0, 1.0);
-  s.hotspot_bytes = r.get_u64("hotspot_bytes", 64u << 10, 1, 1ull << 40);
-  s.burst_on_cycles = r.get_u64("burst_on_cycles", 2000, 0, 1ull << 40);
-  s.burst_off_cycles = r.get_u64("burst_off_cycles", 2000, 0, 1ull << 40);
-  s.frame_period = r.get_u64("frame_period", 16000, 0, 1ull << 40);
-  s.frame_active_fraction =
-      r.get_double("frame_active_fraction", 0.5, 0.0, 1.0);
   // The largest request must fit in the region (the generator wraps the
   // cursor, but a request bigger than the region cannot be addressed).
   std::uint64_t largest = s.demand_bytes;
@@ -531,15 +134,6 @@ ParsedCore parse_core(const JsonValue& v, const std::string& origin,
   }
   return pc;
 }
-
-/// A parsed `topology` key: the validated spec plus the router knobs
-/// that live beside it (an irregular fabric has no `mesh` object to
-/// carry them).
-struct ParsedTopology {
-  std::shared_ptr<noc::TopologySpec> spec;
-  std::uint32_t buffer_flits = 16;
-  std::uint32_t pipeline_latency = 1;
-};
 
 /// One endpoint of a link entry: a node name or a bare index.
 NodeId parse_link_endpoint(const JsonValue& e, const noc::TopologySpec& spec,
@@ -568,33 +162,33 @@ NodeId parse_link_endpoint(const JsonValue& e, const noc::TopologySpec& spec,
   return static_cast<NodeId>(v);
 }
 
-/// Parse and fully validate a topology object. Every structural issue
-/// TopologyIssue can report is re-checked key-by-key here so the
-/// diagnostic carries the offending member's file position; the final
-/// validate_topology call catches what the per-key checks cannot see
-/// ahead of time (connectivity) and guards against drift between the
-/// two layers.
-ParsedTopology parse_topology_object(const JsonValue& v,
+/// Parse and fully validate a topology object into the fabric it
+/// defines: the spec plus the router knobs that live beside it (an
+/// irregular fabric has no `mesh` object to carry them). Every
+/// structural issue TopologyIssue can report is re-checked key-by-key
+/// here so the diagnostic carries the offending member's file position;
+/// the final validate_topology call catches what the per-key checks
+/// cannot see ahead of time (connectivity) and guards against drift
+/// between the two layers.
+noc::NocConfig parse_topology_object(const JsonValue& v,
                                      const std::string& origin) {
   if (!v.is(JsonKind::kObject)) {
     throw ParseError(origin, v.line, v.column, "topology",
                      "expected an object or a file path string");
   }
-  ObjectReader r(v, kTopologyKeys, kNumTopologyKeys, origin, "topology");
-  ParsedTopology out;
-  out.spec = std::make_shared<noc::TopologySpec>();
-  noc::TopologySpec& spec = *out.spec;
+  ObjectReader r(v, kTopologyKeys, origin, "topology");
+  auto shared = std::make_shared<noc::TopologySpec>();
+  noc::TopologySpec& spec = *shared;
 
-  const JsonMember* nodes_m = r.find("nodes");
-  if (nodes_m == nullptr) r.fail_missing("nodes");
-  if (!nodes_m->value().is(JsonKind::kArray) ||
-      nodes_m->value().array.empty()) {
-    r.fail(*nodes_m, "expected a non-empty array of node names");
+  const JsonMember& nodes_m = r.require("nodes");
+  if (!nodes_m.value().is(JsonKind::kArray) ||
+      nodes_m.value().array.empty()) {
+    r.fail(nodes_m, "expected a non-empty array of node names");
   }
-  if (nodes_m->value().array.size() > 4096) {
-    r.fail(*nodes_m, "more than 4096 nodes");
+  if (nodes_m.value().array.size() > 4096) {
+    r.fail(nodes_m, "more than 4096 nodes");
   }
-  for (const JsonValue& e : nodes_m->value().array) {
+  for (const JsonValue& e : nodes_m.value().array) {
     if (!e.is(JsonKind::kString) || e.string.empty()) {
       throw ParseError(origin, e.line, e.column, "nodes",
                        "each node is a non-empty name string");
@@ -606,13 +200,12 @@ ParsedTopology parse_topology_object(const JsonValue& v,
     spec.node_names.push_back(e.string);
   }
 
-  const JsonMember* links_m = r.find("links");
-  if (links_m == nullptr) r.fail_missing("links");
-  if (!links_m->value().is(JsonKind::kArray)) {
-    r.fail(*links_m, "expected an array of [\"a\", \"b\"] pairs");
+  const JsonMember& links_m = r.require("links");
+  if (!links_m.value().is(JsonKind::kArray)) {
+    r.fail(links_m, "expected an array of [\"a\", \"b\"] pairs");
   }
   std::vector<std::uint32_t> degree(spec.num_nodes(), 0);
-  for (const JsonValue& e : links_m->value().array) {
+  for (const JsonValue& e : links_m.value().array) {
     if (!e.is(JsonKind::kArray) || e.array.size() != 2) {
       throw ParseError(origin, e.line, e.column, "links",
                        "each link is a two-element [\"a\", \"b\"] pair");
@@ -650,18 +243,21 @@ ParsedTopology parse_topology_object(const JsonValue& v,
                      issue.message(spec));
   }
 
-  out.buffer_flits =
-      static_cast<std::uint32_t>(r.get_u64("buffer_flits", 16, 1, 4096));
-  out.pipeline_latency =
-      static_cast<std::uint32_t>(r.get_u64("pipeline_latency", 1, 1, 64));
-  return out;
+  noc::NocConfig noc;
+  r.read_bound(noc);
+  // Node count and wiring come from the spec; width/height only satisfy
+  // the mesh invariant width*height == n.
+  noc.width = static_cast<std::uint32_t>(spec.num_nodes());
+  noc.height = 1;
+  noc.topology = std::move(shared);
+  return noc;
 }
 
 /// Resolve a string-valued `topology` key: read the named file
 /// (relative paths resolve against the scenario's directory) and parse
 /// the whole document as one topology object, so its diagnostics are
 /// positioned inside the topology file.
-ParsedTopology load_topology_file(const ObjectReader& r, const JsonMember& m,
+noc::NocConfig load_topology_file(const ObjectReader& r, const JsonMember& m,
                                   const std::string& base_dir) {
   std::string path = m.value().string;
   if (path.empty()) {
@@ -683,36 +279,23 @@ ParsedTopology load_topology_file(const ObjectReader& r, const JsonMember& m,
 traffic::Application build_custom_app(const ObjectReader& top,
                                       const JsonMember* mesh_m,
                                       const JsonMember& cores_m,
-                                      const ParsedTopology* topo,
+                                      const noc::NocConfig* topo,
                                       const std::string& name,
                                       const std::string& origin) {
   noc::NocConfig noc;
-  std::uint64_t nodes = 0;
   if (topo != nullptr) {
-    // Irregular fabric: node count and wiring come from the spec;
-    // width/height only satisfy the mesh invariant width*height == n.
-    noc.topology = topo->spec;
-    nodes = topo->spec->num_nodes();
-    noc.width = static_cast<std::uint32_t>(nodes);
-    noc.height = 1;
-    noc.mem_node = 0;
-    noc.buffer_flits = topo->buffer_flits;
-    noc.pipeline_latency = topo->pipeline_latency;
+    noc = *topo;
   } else {
     if (!mesh_m->value().is(JsonKind::kObject)) {
       top.fail(*mesh_m, "expected an object");
     }
-    ObjectReader mr(mesh_m->value(), kMeshKeys, kNumMeshKeys, origin, "mesh");
-    noc.width = static_cast<std::uint32_t>(mr.require_u64("width", 1, 64));
-    noc.height = static_cast<std::uint32_t>(mr.require_u64("height", 1, 64));
-    nodes = static_cast<std::uint64_t>(noc.width) * noc.height;
-    noc.mem_node =
-        static_cast<NodeId>(mr.get_u64("mem_node", 0, 0, nodes - 1));
-    noc.buffer_flits =
-        static_cast<std::uint32_t>(mr.get_u64("buffer_flits", 16, 1, 4096));
-    noc.pipeline_latency =
-        static_cast<std::uint32_t>(mr.get_u64("pipeline_latency", 1, 1, 64));
+    ObjectReader mr(mesh_m->value(), kMeshKeys, origin, "mesh");
+    mr.read_bound(noc);
+    if (const JsonMember* m = mr.find("mem_node")) {
+      (void)mr.u64_of(*m, 0, std::uint64_t{noc.width} * noc.height - 1);
+    }
   }
+  const std::uint64_t nodes = std::uint64_t{noc.width} * noc.height;
 
   if (!cores_m.value().is(JsonKind::kArray) ||
       cores_m.value().array.empty()) {
@@ -721,7 +304,7 @@ traffic::Application build_custom_app(const ObjectReader& top,
   std::vector<ParsedCore> cores;
   for (const JsonValue& v : cores_m.value().array) {
     cores.push_back(
-        parse_core(v, origin, nodes, topo ? topo->spec.get() : nullptr));
+        parse_core(v, origin, nodes, topo ? topo->topology.get() : nullptr));
   }
 
   // node and region_base are each all-or-none across the array: mixing
@@ -809,7 +392,7 @@ void parse_memory(const ObjectReader& top, const JsonMember& m,
   if (!m.value().is(JsonKind::kObject)) {
     top.fail(m, "expected an object");
   }
-  ObjectReader r(m.value(), kMemoryKeys, kNumMemoryKeys, origin, "memory");
+  ObjectReader r(m.value(), kMemoryKeys, origin, "memory");
   if (const JsonMember* nm = r.find("nodes")) {
     if (!nm->value().is(JsonKind::kArray) || nm->value().array.empty()) {
       r.fail(*nm, "expected a non-empty array of controller nodes");
@@ -874,13 +457,8 @@ void parse_memory(const ObjectReader& top, const JsonMember& m,
         throw ParseError(origin, e.line, e.column, "controllers",
                          "each entry is an object of engine overrides");
       }
-      ObjectReader er(e, kControllerKeys, kNumControllerKeys, origin,
-                      "controller");
       core::ControllerOverrides ov;
-      ov.engine = parse_engine(er, std::nullopt);
-      ov.engine_lookahead = er.get_opt_u32("engine_lookahead", 0, 64);
-      ov.engine_reorder_depth = er.get_opt_u32("engine_reorder_depth", 1, 1024);
-      ov.engine_window = er.get_opt_u32("engine_window", 1, 1024);
+      ObjectReader(e, kControllerKeys, origin, "controller").read_bound(ov);
       ovs.push_back(ov);
     }
     cfg.controller_overrides = std::move(ovs);
@@ -903,36 +481,14 @@ void parse_faults(const ObjectReader& top, const JsonMember& m,
       throw ParseError(origin, e.line, e.column, "faults",
                        "each fault is an object (see docs/RESILIENCE.md)");
     }
-    ObjectReader r(e, kFaultKeys, kNumFaultKeys, origin, "fault");
+    ObjectReader r(e, kFaultKeys, origin, "fault");
     fault::FaultSpec f;
-    const JsonMember* km = r.find("kind");
-    if (km == nullptr) r.fail_missing("kind");
-    if (!km->value().is(JsonKind::kString)) {
-      r.fail(*km, "expected a string");
-    }
-    const std::optional<fault::FaultKind> k =
-        fault::parse_fault_kind(km->value().string);
-    if (!k) {
-      r.fail(*km, "unknown fault kind '" + km->value().string +
-                      "'; expected dead_link, degraded_link, slow_router, "
-                      "refresh_storm or throttled_banks");
-    }
-    f.kind = *k;
-    f.at = r.get_u64("at", 0, 0, 1ull << 40);
-    f.until = r.get_u64("until", 0, 0, 1ull << 40);
+    f.kind = r.token_of(r.require("kind"), fault::kFaultKindTokens);
+    r.read_bound(f);
     if (f.until != 0 && f.until <= f.at) {
       r.fail(*r.find("until"),
              "until must be after at (or 0 for permanent)");
     }
-    f.a = static_cast<NodeId>(r.get_u64("a", 0, 0, 4095));
-    f.b = static_cast<NodeId>(r.get_u64("b", 0, 0, 4095));
-    f.penalty =
-        static_cast<std::uint32_t>(r.get_u64("penalty", 8, 1, 1u << 16));
-    f.router = static_cast<NodeId>(r.get_u64("router", 0, 0, 4095));
-    f.period =
-        static_cast<std::uint32_t>(r.get_u64("period", 4, 2, 1u << 16));
-    f.channel = static_cast<std::uint32_t>(r.get_u64("channel", 0, 0, 63));
-    f.trefi = r.get_u64("trefi", 0, 0, 1ull << 32);
     if (const JsonMember* bm = r.find("banks")) {
       if (!bm->value().is(JsonKind::kNumber)) {
         r.fail(*bm, "expected a number (bank bitmask, or -1 for all)");
@@ -946,10 +502,6 @@ void parse_faults(const ObjectReader& top, const JsonMember& m,
         f.bank_mask = static_cast<std::uint64_t>(v);
       }
     }
-    f.extra_trcd =
-        static_cast<std::uint32_t>(r.get_u64("extra_trcd", 0, 0, 1u << 16));
-    f.extra_trp =
-        static_cast<std::uint32_t>(r.get_u64("extra_trp", 0, 0, 1u << 16));
     const bool is_link = f.kind == fault::FaultKind::kDeadLink ||
                          f.kind == fault::FaultKind::kDegradedLink;
     if (is_link && f.a == f.b) {
@@ -982,104 +534,82 @@ void parse_faults(const ObjectReader& top, const JsonMember& m,
 
 // --- dump ---
 
-const char* design_token(core::DesignPoint d) {
-  switch (d) {
-    case core::DesignPoint::kConv: return "conv";
-    case core::DesignPoint::kConvPfs: return "conv+pfs";
-    case core::DesignPoint::kRef4: return "ref4";
-    case core::DesignPoint::kRef4Pfs: return "ref4+pfs";
-    case core::DesignPoint::kGss: return "gss";
-    case core::DesignPoint::kGssSagm: return "gss+sagm";
-    case core::DesignPoint::kGssSagmSti: return "gss+sagm+sti";
-  }
-  return "gss";
-}
-
-const char* app_token(traffic::AppId a) {
-  switch (a) {
-    case traffic::AppId::kBluray: return "bluray";
-    case traffic::AppId::kSingleDtv: return "sdtv";
-    case traffic::AppId::kDualDtv: return "ddtv";
-  }
-  return "sdtv";
-}
-
-int ddr_token(sdram::DdrGeneration g) {
-  switch (g) {
-    case sdram::DdrGeneration::kDdr1: return 1;
-    case sdram::DdrGeneration::kDdr2: return 2;
-    case sdram::DdrGeneration::kDdr3: return 3;
-  }
-  return 2;
-}
-
+/// Collects one object's `"key": value` lines and writes them in the
+/// order of its KeyInfo table, whatever order they were added in.
 class Dumper {
  public:
-  explicit Dumper(std::string indent) : indent_(std::move(indent)) {}
+  Dumper(std::string indent, std::span<const KeyInfo> rows)
+      : indent_(std::move(indent)), rows_(rows) {}
 
-  void field(const char* key, std::string value) {
-    entries_.push_back(indent_ + json_quote(key) + ": " + std::move(value));
-  }
-  void str(const char* key, std::string_view v) { field(key, json_quote(v)); }
-  void num(const char* key, double v) { field(key, json_number(v)); }
-  void num(const char* key, std::uint64_t v) {
-    field(key, std::to_string(v));
-  }
-  void boolean(const char* key, bool v) { field(key, v ? "true" : "false"); }
-  void opt(const char* key, const std::optional<std::uint32_t>& v) {
-    field(key, v ? std::to_string(*v) : "null");
+  /// A hand-written key.
+  void field(std::string_view key, std::string value) {
+    std::size_t i = 0;
+    while (i < rows_.size() && key != rows_[i].key) ++i;
+    ANNOC_ASSERT_MSG(i < rows_.size(), "dumped key has no schema row");
+    add(i, std::move(value));
   }
 
-  [[nodiscard]] std::string close(const std::string& outer) const {
+  /// Every bound key of `target`; `variant` picks the rows a
+  /// kind-specific row (Binding::variants) belongs to.
+  void bound(const void* target, std::uint32_t variant = ~0u) {
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      const Binding& b = rows_[i].bind;
+      const bool other_variant = b.variants != 0 && !(b.variants & variant);
+      if (b.kind == Kind::kHand || other_variant) continue;
+      std::string v = rows_[i].dump(target);
+      if (!v.empty()) add(i, std::move(v));
+    }
+  }
+
+  /// The object, its closing brace one level left of its keys.
+  [[nodiscard]] std::string close() {
+    std::stable_sort(
+        entries_.begin(), entries_.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
     std::string out = "{\n";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
-      out += entries_[i];
+      out += entries_[i].second;
       if (i + 1 < entries_.size()) out += ',';
       out += '\n';
     }
-    out += outer + "}";
-    return out;
+    return out + indent_.substr(2) + "}";
   }
 
  private:
+  void add(std::size_t row, std::string value) {
+    entries_.emplace_back(row, indent_ + json_quote(rows_[row].key) + ": " +
+                                   std::move(value));
+  }
+
   std::string indent_;
-  std::vector<std::string> entries_;
+  std::span<const KeyInfo> rows_;
+  std::vector<std::pair<std::size_t, std::string>> entries_;
 };
+
+/// A JSON array of item(e) for each element of `v`: on one line, or one
+/// element per line at `indent` (closing one level further left).
+template <class T, class F>
+std::string list(const std::vector<T>& v, F item, std::string indent = "") {
+  const std::string sep = indent.empty() ? ", " : ",\n" + indent;
+  std::string out = indent.empty() ? "[" : "[\n" + indent;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out += (i != 0 ? sep : "") + item(v[i]);
+  }
+  return out + (indent.empty() ? "]" : "\n" + indent.substr(2) + "]");
+}
 
 std::string dump_core(const traffic::CorePlacement& cp) {
   const traffic::CoreSpec& s = cp.spec;
-  Dumper d("      ");
-  d.str("name", s.name);
-  d.num("node", static_cast<std::uint64_t>(cp.node));
-  d.num("bytes_per_cycle", s.bytes_per_cycle);
-  d.num("read_fraction", s.read_fraction);
-  d.num("sequential_fraction", s.sequential_fraction);
-  {
-    std::string sizes = "[";
-    for (std::size_t i = 0; i < s.sizes.size(); ++i) {
-      if (i != 0) sizes += ", ";
-      sizes += "{\"bytes\": " + std::to_string(s.sizes[i].bytes) +
-               ", \"weight\": " + json_number(s.sizes[i].weight) + "}";
-    }
-    sizes += "]";
-    d.field("sizes", std::move(sizes));
-  }
-  d.num("max_outstanding", static_cast<std::uint64_t>(s.max_outstanding));
-  d.boolean("open_loop", s.open_loop);
-  d.boolean("is_mpu", s.is_mpu);
-  d.num("demand_fraction", s.demand_fraction);
-  d.num("demand_bytes", static_cast<std::uint64_t>(s.demand_bytes));
-  d.num("region_base", s.region_base);
-  d.num("region_bytes", s.region_bytes);
-  d.num("placement_weight", s.placement_weight);
-  d.str("pattern", to_string(s.pattern));
-  d.num("hotspot_fraction", s.hotspot_fraction);
-  d.num("hotspot_bytes", s.hotspot_bytes);
-  d.num("burst_on_cycles", s.burst_on_cycles);
-  d.num("burst_off_cycles", s.burst_off_cycles);
-  d.num("frame_period", s.frame_period);
-  d.num("frame_active_fraction", s.frame_active_fraction);
-  return d.close("    ");
+  Dumper d("      ", kCoreKeys);
+  d.bound(&s);
+  d.field("name", json_quote(s.name));
+  d.field("node", std::to_string(cp.node));
+  d.field("sizes", list(s.sizes, [](const traffic::SizeMix& m) {
+            return "{\"bytes\": " + std::to_string(m.bytes) +
+                   ", \"weight\": " + json_number(m.weight) + "}";
+          }));
+  d.field("region_base", std::to_string(s.region_base));
+  return d.close();
 }
 
 }  // namespace
@@ -1091,12 +621,13 @@ Scenario parse_scenario(std::string_view text, const std::string& origin,
     throw ParseError(origin, root.line, root.column, "",
                      "a scenario file must be a JSON object");
   }
-  ObjectReader r(root, kScenarioKeys, kNumScenarioKeys, origin, "scenario");
+  ObjectReader r(root, kScenarioKeys, origin, "scenario");
 
   Scenario s;
-  s.name = r.get_string("name", "");
+  if (const JsonMember* m = r.find("name")) s.name = r.string_of(*m);
   core::SystemConfig& cfg = s.config;
-  apply_scalar_keys(r, cfg);
+  r.read_bound(cfg);
+  check_channel_granule(r, cfg);
 
   const JsonMember* app_m = r.find("app");
   const JsonMember* mesh_m = r.find("mesh");
@@ -1104,7 +635,7 @@ Scenario parse_scenario(std::string_view text, const std::string& origin,
   const JsonMember* topo_m = r.find("topology");
   const JsonMember* memory_m = r.find("memory");
 
-  std::optional<ParsedTopology> topo;
+  std::optional<noc::NocConfig> topo;
   if (topo_m != nullptr) {
     if (cores_m == nullptr) {
       r.fail(*topo_m, "topology needs a custom core set (cores) placed on "
@@ -1141,15 +672,14 @@ Scenario parse_scenario(std::string_view text, const std::string& origin,
     if (mesh_m != nullptr) {
       r.fail(*mesh_m, "mesh is only meaningful together with cores");
     }
-    cfg.app = app_m != nullptr ? parse_app(r, *app_m)
-                               : traffic::AppId::kSingleDtv;
+    if (app_m != nullptr) cfg.app = r.token_of(*app_m, traffic::kAppTokens);
   }
 
   // Node count of the final fabric (after any mesh_preset re-tiling),
   // for controller-placement validation.
   std::uint64_t fabric_nodes = 0;
   if (topo) {
-    fabric_nodes = topo->spec->num_nodes();
+    fabric_nodes = topo->topology->num_nodes();
   } else if (!cfg.mesh_preset.empty()) {
     std::uint32_t w = 0, h = 0;
     const bool ok = core::parse_mesh_preset(cfg.mesh_preset, &w, &h);
@@ -1164,7 +694,7 @@ Scenario parse_scenario(std::string_view text, const std::string& origin,
   }
 
   if (memory_m != nullptr) {
-    parse_memory(r, *memory_m, cfg, topo ? topo->spec.get() : nullptr,
+    parse_memory(r, *memory_m, cfg, topo ? topo->topology.get() : nullptr,
                  fabric_nodes, origin);
   }
   if (cfg.num_controllers > fabric_nodes) {
@@ -1179,19 +709,8 @@ Scenario parse_scenario(std::string_view text, const std::string& origin,
 }
 
 bool is_sweepable_key(std::string_view key) {
-  // Workload structure is fixed per sweep (a sweep perturbs knobs, not
-  // the core set), `name` labels the scenario itself, and the output
-  // paths would make thousands of jobs overwrite one file. The explicit
-  // faults array is structure too — sweeps perturb the fault.* knobs.
-  static constexpr std::string_view kFixed[] = {
-      "name",         "mesh",         "cores",         "topology",
-      "memory",       "trace_path",   "record_trace",  "replay_trace",
-      "perfetto_path", "faults"};
-  for (const std::string_view f : kFixed) {
-    if (key == f) return false;
-  }
-  for (std::size_t i = 0; i < kNumScenarioKeys; ++i) {
-    if (key == kScenarioKeys[i].key) return true;
+  for (const KeyInfo& k : kScenarioKeys) {
+    if (key == k.key) return k.bind.sweep;
   }
   return false;
 }
@@ -1204,7 +723,7 @@ void apply_overrides(core::SystemConfig& cfg, const JsonValue& point,
   }
   // ObjectReader first, so a typo'd key gets the standard "unknown
   // scenario key" diagnostic before the sweepability check below.
-  ObjectReader r(point, kScenarioKeys, kNumScenarioKeys, origin, "scenario");
+  ObjectReader r(point, kScenarioKeys, origin, "scenario");
   for (const JsonMember& m : point.object) {
     if (!is_sweepable_key(m.name)) {
       throw ParseError(origin, m.line, m.column, m.name,
@@ -1218,9 +737,10 @@ void apply_overrides(core::SystemConfig& cfg, const JsonValue& point,
       r.fail(*m, "the base scenario defines a custom core set; "
                  "'app' cannot override it");
     }
-    cfg.app = parse_app(r, *m);
+    cfg.app = r.token_of(*m, traffic::kAppTokens);
   }
-  apply_scalar_keys(r, cfg);
+  r.read_bound(cfg);
+  check_channel_granule(r, cfg);
 
   // Cross-field guards a sweep point can violate against its base
   // scenario. Any offending combination here involves a key the point
@@ -1287,184 +807,63 @@ Scenario load_scenario(const std::string& path) {
 
 std::string dump_scenario(const Scenario& s) {
   const core::SystemConfig& c = s.config;
-  Dumper d("  ");
-  d.str("name", s.name);
-  d.str("design", design_token(c.design));
-  if (!c.custom_app) d.str("app", app_token(c.app));
-  d.num("ddr", static_cast<std::uint64_t>(ddr_token(c.generation)));
-  d.num("clock_mhz", c.clock_mhz);
-  d.boolean("priority", c.priority_enabled);
-  d.boolean("model_response_path", c.model_response_path);
-  d.num("measure_cycles", static_cast<std::uint64_t>(c.sim_cycles));
-  d.num("warmup_cycles", static_cast<std::uint64_t>(c.warmup_cycles));
-  d.num("drain_cycle_limit",
-        static_cast<std::uint64_t>(c.drain_cycle_limit));
-  if (c.seed <= (1ull << 53)) {
-    d.num("seed", c.seed);
-  } else {
-    d.str("seed", std::to_string(c.seed));
+  Dumper d("  ", kScenarioKeys);
+  d.bound(&c);
+  d.field("name", json_quote(s.name));
+  if (!c.custom_app) {
+    d.field("app", json_quote(traffic::kAppTokens.name(c.app)));
   }
-  d.boolean("fast_forward", c.fast_forward);
-  if (c.sched) d.str("sched", to_string(*c.sched));
-  d.boolean("audit_horizons", c.audit_horizons);
-  d.num("pct", static_cast<std::uint64_t>(c.pct));
-  d.opt("num_gss_routers",
-        c.num_gss_routers
-            ? std::optional<std::uint32_t>(
-                  static_cast<std::uint32_t>(*c.num_gss_routers))
-            : std::nullopt);
-  if (c.engine) d.str("engine", to_string(*c.engine));
-  d.num("dpq_promote_after",
-        static_cast<std::uint64_t>(c.dpq_promote_after));
-  d.opt("engine_lookahead", c.engine_lookahead);
-  d.opt("engine_reorder_depth", c.engine_reorder_depth);
-  d.opt("engine_window", c.engine_window);
-  d.num("map_chunk_bytes", static_cast<std::uint64_t>(c.map_chunk_bytes));
-  d.num("num_vcs", static_cast<std::uint64_t>(c.num_vcs));
-  d.boolean("adaptive_routing", c.adaptive_routing);
-  d.str("observe", to_string(c.observe));
-  d.str("perfetto_path", c.perfetto_path);
-  d.str("trace_path", c.trace_path);
-  d.str("record_trace", c.record_trace_path);
-  d.str("replay_trace", c.replay_trace_path);
-  d.boolean("check", c.check);
-  d.boolean("refresh", c.refresh);
-  d.num("split_beats", static_cast<std::uint64_t>(c.split_beats));
-  d.num("num_controllers", static_cast<std::uint64_t>(c.num_controllers));
-  d.opt("interleave_shift", c.interleave_shift);
-  d.str("mesh_preset", c.mesh_preset);
-  d.num("watchdog_cycles", static_cast<std::uint64_t>(c.watchdog_cycles));
-  if (c.fault_seed <= (1ull << 53)) {
-    d.num("fault.seed", c.fault_seed);
-  } else {
-    d.str("fault.seed", std::to_string(c.fault_seed));
-  }
-  d.num("fault.count", static_cast<std::uint64_t>(c.fault_count));
-  d.str("fault.kinds", c.fault_kinds);
-  d.num("fault.start", static_cast<std::uint64_t>(c.fault_start));
-  d.num("fault.spacing", static_cast<std::uint64_t>(c.fault_spacing));
-  d.num("fault.duration", static_cast<std::uint64_t>(c.fault_duration));
   if (!c.faults.empty()) {
-    std::string arr = "[\n";
-    for (std::size_t i = 0; i < c.faults.size(); ++i) {
-      const fault::FaultSpec& f = c.faults[i];
-      Dumper fd("      ");
-      fd.str("kind", fault::to_string(f.kind));
-      fd.num("at", static_cast<std::uint64_t>(f.at));
-      fd.num("until", static_cast<std::uint64_t>(f.until));
-      switch (f.kind) {
-        case fault::FaultKind::kDeadLink:
-          fd.num("a", static_cast<std::uint64_t>(f.a));
-          fd.num("b", static_cast<std::uint64_t>(f.b));
-          break;
-        case fault::FaultKind::kDegradedLink:
-          fd.num("a", static_cast<std::uint64_t>(f.a));
-          fd.num("b", static_cast<std::uint64_t>(f.b));
-          fd.num("penalty", static_cast<std::uint64_t>(f.penalty));
-          break;
-        case fault::FaultKind::kSlowRouter:
-          fd.num("router", static_cast<std::uint64_t>(f.router));
-          fd.num("period", static_cast<std::uint64_t>(f.period));
-          break;
-        case fault::FaultKind::kRefreshStorm:
-          fd.num("channel", static_cast<std::uint64_t>(f.channel));
-          fd.num("trefi", f.trefi);
-          break;
-        case fault::FaultKind::kThrottledBanks:
-          fd.num("channel", static_cast<std::uint64_t>(f.channel));
-          fd.field("banks", f.bank_mask == ~0ull
-                                ? std::string("-1")
-                                : std::to_string(f.bank_mask));
-          fd.num("extra_trcd", static_cast<std::uint64_t>(f.extra_trcd));
-          fd.num("extra_trp", static_cast<std::uint64_t>(f.extra_trp));
-          break;
-      }
-      arr += "    " + fd.close("    ");
-      if (i + 1 < c.faults.size()) arr += ',';
-      arr += '\n';
-    }
-    arr += "  ]";
-    d.field("faults", std::move(arr));
+    d.field("faults", list(c.faults, [](const fault::FaultSpec& f) {
+              Dumper fd("      ", kFaultKeys);
+              fd.bound(&f, 1u << static_cast<unsigned>(f.kind));
+              fd.field("kind", json_quote(to_string(f.kind)));
+              if (f.kind == fault::FaultKind::kThrottledBanks) {
+                fd.field("banks", f.bank_mask == ~0ull
+                                      ? std::string("-1")
+                                      : std::to_string(f.bank_mask));
+              }
+              return fd.close();
+            }, "    "));
   }
   if (c.custom_app && c.custom_app->noc.topology) {
     const noc::TopologySpec& t = *c.custom_app->noc.topology;
-    Dumper td("    ");
-    {
-      std::string nodes = "[";
-      for (std::size_t i = 0; i < t.node_names.size(); ++i) {
-        if (i != 0) nodes += ", ";
-        nodes += json_quote(t.node_names[i]);
-      }
-      nodes += "]";
-      td.field("nodes", std::move(nodes));
-    }
-    {
-      std::string links = "[";
-      for (std::size_t i = 0; i < t.links.size(); ++i) {
-        if (i != 0) links += ", ";
-        links += "[" + json_quote(t.node_names[t.links[i].a]) + ", " +
-                 json_quote(t.node_names[t.links[i].b]) + "]";
-      }
-      links += "]";
-      td.field("links", std::move(links));
-    }
-    td.num("buffer_flits",
-           static_cast<std::uint64_t>(c.custom_app->noc.buffer_flits));
-    td.num("pipeline_latency",
-           static_cast<std::uint64_t>(c.custom_app->noc.pipeline_latency));
-    d.field("topology", td.close("  "));
+    const auto name = [&](NodeId n) { return json_quote(t.node_names[n]); };
+    Dumper td("    ", kTopologyKeys);
+    td.bound(&c.custom_app->noc);
+    td.field("nodes", list(t.node_names, json_quote));
+    td.field("links", list(t.links, [&](const noc::TopologySpec::Edge& e) {
+               return "[" + name(e.a) + ", " + name(e.b) + "]";
+             }));
+    d.field("topology", td.close());
   }
   if (!c.mem_nodes.empty() || !c.controller_overrides.empty()) {
-    Dumper md("    ");
+    Dumper md("    ", kMemoryKeys);
     if (!c.mem_nodes.empty()) {
-      std::string nodes = "[";
-      for (std::size_t i = 0; i < c.mem_nodes.size(); ++i) {
-        if (i != 0) nodes += ", ";
-        nodes += std::to_string(c.mem_nodes[i]);
-      }
-      nodes += "]";
-      md.field("nodes", std::move(nodes));
+      md.field("nodes", list(c.mem_nodes,
+                             [](NodeId n) { return std::to_string(n); }));
     }
     if (!c.controller_overrides.empty()) {
-      std::string arr = "[\n";
-      for (std::size_t i = 0; i < c.controller_overrides.size(); ++i) {
-        const core::ControllerOverrides& ov = c.controller_overrides[i];
-        Dumper od("        ");
-        if (ov.engine) od.str("engine", to_string(*ov.engine));
-        od.opt("engine_lookahead", ov.engine_lookahead);
-        od.opt("engine_reorder_depth", ov.engine_reorder_depth);
-        od.opt("engine_window", ov.engine_window);
-        arr += "      " + od.close("      ");
-        if (i + 1 < c.controller_overrides.size()) arr += ',';
-        arr += '\n';
-      }
-      arr += "    ]";
-      md.field("controllers", std::move(arr));
+      md.field("controllers",
+               list(c.controller_overrides,
+                    [](const core::ControllerOverrides& ov) {
+                      Dumper od("        ", kControllerKeys);
+                      od.bound(&ov);
+                      return od.close();
+                    }, "      "));
     }
-    d.field("memory", md.close("  "));
+    d.field("memory", md.close());
   }
   if (c.custom_app) {
     const traffic::Application& app = *c.custom_app;
     if (!app.noc.topology) {
-      Dumper m("    ");
-      m.num("width", static_cast<std::uint64_t>(app.noc.width));
-      m.num("height", static_cast<std::uint64_t>(app.noc.height));
-      m.num("mem_node", static_cast<std::uint64_t>(app.noc.mem_node));
-      m.num("buffer_flits", static_cast<std::uint64_t>(app.noc.buffer_flits));
-      m.num("pipeline_latency",
-            static_cast<std::uint64_t>(app.noc.pipeline_latency));
-      d.field("mesh", m.close("  "));
+      Dumper m("    ", kMeshKeys);
+      m.bound(&app.noc);
+      d.field("mesh", m.close());
     }
-    std::string cores = "[\n";
-    for (std::size_t i = 0; i < app.cores.size(); ++i) {
-      cores += "    " + dump_core(app.cores[i]);
-      if (i + 1 < app.cores.size()) cores += ',';
-      cores += '\n';
-    }
-    cores += "  ]";
-    d.field("cores", std::move(cores));
+    d.field("cores", list(app.cores, dump_core, "    "));
   }
-  return d.close("") + "\n";
+  return d.close() + "\n";
 }
 
 }  // namespace annoc::scenario

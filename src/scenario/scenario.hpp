@@ -2,10 +2,15 @@
 /// Declarative workloads: load a complete experiment point — design
 /// point, SDRAM generation and clock, windows, and either one of the
 /// paper's applications or a fully custom core set — from a JSON file,
-/// no code required. The schema lives in schema.hpp (rendered into
-/// docs/CONFIG_REFERENCE.md) and is documented in docs/WORKLOADS.md;
-/// checked-in examples are under scenarios/. All validation errors
-/// throw annoc::ParseError carrying file, line and the offending key.
+/// no code required. The schema lives in schema.hpp as one row per key,
+/// `{"key", "type", "default", "doc", binding}`: parse, dump, sweep
+/// overrides and docs/CONFIG_REFERENCE.md all read the binding (the
+/// struct member, its kind and range, whether a sweep may set it). A
+/// new scalar knob is a struct member plus one row; only the
+/// structural keys (workload, fabric, placement, faults) are parsed by
+/// hand. docs/WORKLOADS.md is the narrative guide; checked-in examples
+/// are under scenarios/. All validation errors throw annoc::ParseError
+/// carrying file, line and the offending key.
 #pragma once
 
 #include <string>
@@ -39,11 +44,12 @@ struct Scenario {
 [[nodiscard]] Scenario load_scenario(const std::string& path);
 
 /// True when `key` is a top-level scenario key a sweep axis may
-/// override: every scalar SystemConfig knob (design, ddr, clock_mhz,
-/// seed, pct, ...) plus `app`. Workload-structure keys (name, mesh,
-/// cores) and output paths (trace_path, record_trace, replay_trace,
-/// perfetto_path) are not sweepable — thousands of jobs would fight
-/// over one file. Unknown keys return false.
+/// override, as its schema row says: every scalar SystemConfig knob
+/// (design, ddr, clock_mhz, seed, pct, ...) plus `app`. Workload
+/// structure (name, mesh, cores, topology, memory, faults) and output
+/// paths (trace_path, record_trace, replay_trace, perfetto_path) are
+/// not sweepable — thousands of jobs would fight over one file.
+/// Unknown keys return false.
 [[nodiscard]] bool is_sweepable_key(std::string_view key);
 
 /// Apply the members of an already-parsed JSON object (one sweep

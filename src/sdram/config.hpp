@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "common/tokens.hpp"
 #include "common/types.hpp"
 
 namespace annoc::sdram {
@@ -27,6 +28,16 @@ enum class DdrGeneration : std::uint8_t { kDdr1, kDdr2, kDdr3 };
   }
   return "?";
 }
+
+/// Scenario-file tokens of the generations: `ddr` is written as the
+/// number 1, 2 or 3.
+inline constexpr Token<DdrGeneration> kDdrTokenList[] = {
+    {"1", DdrGeneration::kDdr1},
+    {"2", DdrGeneration::kDdr2},
+    {"3", DdrGeneration::kDdr3},
+};
+inline constexpr TokenSet<DdrGeneration> kDdrTokens{"ddr generation",
+                                                    kDdrTokenList};
 
 /// Burst-length operating mode programmed via MRS (plus DDR III's
 /// on-the-fly selection).

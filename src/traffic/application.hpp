@@ -31,6 +31,15 @@ enum class AppId : std::uint8_t { kBluray, kSingleDtv, kDualDtv };
   return "?";
 }
 
+/// Scenario-file tokens of the applications (`app`, and the application
+/// argument of the example CLIs).
+inline constexpr Token<AppId> kAppTokenList[] = {
+    {"bluray", AppId::kBluray},
+    {"sdtv", AppId::kSingleDtv},
+    {"ddtv", AppId::kDualDtv},
+};
+inline constexpr TokenSet<AppId> kAppTokens{"application", kAppTokenList};
+
 struct CorePlacement {
   CoreSpec spec;
   NodeId node = kInvalidNode;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/tokens.hpp"
 #include "common/types.hpp"
 
 namespace annoc::traffic {
@@ -29,14 +30,17 @@ enum class TrafficPattern : std::uint8_t {
   kFramePeriodic,  ///< MPEG-like frame cadence: active window per period
 };
 
+inline constexpr Token<TrafficPattern> kPatternTokenList[] = {
+    {"random", TrafficPattern::kRandom},
+    {"hotspot", TrafficPattern::kHotspot},
+    {"bursty", TrafficPattern::kBursty},
+    {"frame", TrafficPattern::kFramePeriodic},
+};
+inline constexpr TokenSet<TrafficPattern> kPatternTokens{"pattern",
+                                                         kPatternTokenList};
+
 [[nodiscard]] inline const char* to_string(TrafficPattern p) {
-  switch (p) {
-    case TrafficPattern::kRandom: return "random";
-    case TrafficPattern::kHotspot: return "hotspot";
-    case TrafficPattern::kBursty: return "bursty";
-    case TrafficPattern::kFramePeriodic: return "frame";
-  }
-  return "?";
+  return kPatternTokens.name(p);
 }
 
 /// Traffic model parameters for one core. Rates are in bytes of useful

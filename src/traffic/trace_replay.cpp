@@ -6,6 +6,7 @@
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
+#include "common/parse_u64.hpp"
 #include "traffic/splitter.hpp"
 
 namespace annoc::traffic {
@@ -28,22 +29,17 @@ struct Closer {
 };
 
 /// Parse one unsigned field. `field` names the column in errors.
-std::uint64_t parse_u64(const std::string& origin, std::uint64_t line,
+std::uint64_t u64_field(const std::string& origin, std::uint64_t line,
                         const char* field, const std::string& token) {
   if (token.empty()) {
     throw ParseError(origin, line, 0, field, "empty field");
   }
-  char* end = nullptr;
-  const int base = token.size() > 2 && token[0] == '0' &&
-                           (token[1] == 'x' || token[1] == 'X')
-                       ? 16
-                       : 10;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, base);
-  if (end == nullptr || *end != '\0') {
+  const std::optional<std::uint64_t> v = parse_u64(token);
+  if (!v) {
     throw ParseError(origin, line, 0, field,
                      "invalid number '" + token + "'");
   }
-  return static_cast<std::uint64_t>(v);
+  return *v;
 }
 
 void validate_record(const TraceRecord& r, const std::string& origin) {
@@ -230,13 +226,13 @@ std::vector<TraceRecord> parse_trace_csv(const std::string& text,
     }
     TraceRecord r;
     r.line = line_no;
-    r.cycle = parse_u64(origin, line_no, "cycle", fields[0]);
-    const std::uint64_t core = parse_u64(origin, line_no, "core", fields[1]);
+    r.cycle = u64_field(origin, line_no, "cycle", fields[0]);
+    const std::uint64_t core = u64_field(origin, line_no, "core", fields[1]);
     if (core >= kInvalidCore) {
       throw ParseError(origin, line_no, 0, "core", "core id out of range");
     }
     r.core = static_cast<CoreId>(core);
-    r.addr = parse_u64(origin, line_no, "addr", fields[2]);
+    r.addr = u64_field(origin, line_no, "addr", fields[2]);
     if (fields[3] == "R" || fields[3] == "r") {
       r.rw = RW::kRead;
     } else if (fields[3] == "W" || fields[3] == "w") {
@@ -246,14 +242,14 @@ std::vector<TraceRecord> parse_trace_csv(const std::string& text,
                        "expected R or W, got '" + fields[3] + "'");
     }
     const std::uint64_t bytes =
-        parse_u64(origin, line_no, "bytes", fields[4]);
+        u64_field(origin, line_no, "bytes", fields[4]);
     if (bytes == 0 || bytes > (1u << 20)) {
       throw ParseError(origin, line_no, 0, "bytes",
                        "request size must be in [1, 2^20] bytes");
     }
     r.bytes = static_cast<std::uint32_t>(bytes);
     const std::uint64_t prio =
-        parse_u64(origin, line_no, "priority", fields[5]);
+        u64_field(origin, line_no, "priority", fields[5]);
     if (prio > 1) {
       throw ParseError(origin, line_no, 0, "priority",
                        "priority must be 0 or 1");

@@ -1,5 +1,5 @@
 /// Unit tests for the foundation utilities: bounded queue, RNG,
-/// statistics.
+/// statistics, the strict integer parser and enum token sets.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -8,8 +8,10 @@
 #include "common/bounded_queue.hpp"
 #include "common/flat_map.hpp"
 #include "common/env.hpp"
+#include "common/parse_u64.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/tokens.hpp"
 
 namespace annoc {
 namespace {
@@ -232,6 +234,56 @@ TEST(Env, ParsesValues) {
   ::setenv("ANNOC_TEST_KNOB", "0", 1);
   EXPECT_FALSE(env_flag("ANNOC_TEST_KNOB", true));
   ::unsetenv("ANNOC_TEST_KNOB");
+}
+
+TEST(ParseU64, AcceptsDecimalAndHex) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("42"), 42u);
+  EXPECT_EQ(parse_u64("017"), 17u);  // decimal: strtoull read 15 (octal)
+  EXPECT_EQ(parse_u64("08"), 8u);    // strtoull's octal rejected this
+  EXPECT_EQ(parse_u64("0x10"), 16u);
+  EXPECT_EQ(parse_u64("0X1f"), 31u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), ~0ull);
+  EXPECT_EQ(parse_u64("0xffffffffffffffff"), ~0ull);
+}
+
+TEST(ParseU64, RejectsWhatStrtoullBends) {
+  // Signs wrapped, blanks and '+' were skipped, overflow saturated.
+  for (const char* bad :
+       {"", "-1", "-3", "-5", "+7", " 42", "42 ", "4 2", "0x", "0x-1", "0x+1",
+        "x10", "1e3", "12abc", "99999999999999999999",
+        "18446744073709551616", "99999999999999999999999",
+        "0x10000000000000000"}) {
+    EXPECT_FALSE(parse_u64(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Env, StaysLenient) {
+  // Env knobs fall back instead of failing (flags are the strict path).
+  ::setenv("ANNOC_TEST_KNOB", "garbage", 1);
+  EXPECT_EQ(env_u64("ANNOC_TEST_KNOB", 5), 5u);
+  ::setenv("ANNOC_TEST_KNOB", "12abc", 1);
+  EXPECT_EQ(env_u64("ANNOC_TEST_KNOB", 5), 12u);
+  ::unsetenv("ANNOC_TEST_KNOB");
+}
+
+enum class Shade : std::uint8_t { kLight, kDark, kGrey };
+constexpr Token<Shade> kShadeList[] = {
+    {"light", Shade::kLight},
+    {"dark", Shade::kDark},
+    {"black", Shade::kDark},
+    {"grey", Shade::kGrey},
+};
+constexpr TokenSet<Shade> kShades{"shade", kShadeList};
+
+TEST(TokenSet, ParsesNamesAndDiagnoses) {
+  EXPECT_EQ(kShades.parse("black"), Shade::kDark);
+  EXPECT_FALSE(kShades.parse("Dark").has_value());
+  EXPECT_STREQ(kShades.name(Shade::kDark), "dark");  // the first spelling
+  EXPECT_EQ(kShades.expected(), "light, dark (alias black) or grey");
+  EXPECT_EQ(kShades.unknown("pink", "none"),
+            "unknown shade 'pink'; expected light, dark (alias black), grey "
+            "or none");
 }
 
 TEST(FlatMap, InsertFindErase) {

@@ -162,6 +162,40 @@ TEST(SweepSpec, DiagnosticsArePositioned) {
   }
 }
 
+TEST(SweepSpec, SweepSeedIsAStrictSeed) {
+  // sweep_seed reads like the scenario seed: a number, or a decimal or
+  // 0x-hex string for the full 64 bits.
+  const char* kAxes = R"(, "mode": "random", "samples": 2,
+      "axes": [{"key": "pct", "values": [3, 4]}]})";
+  const auto spec = [&](const std::string& seed) {
+    return explore::parse_sweep_spec("{\"sweep_seed\": " + seed + kAxes,
+                                     "<t>");
+  };
+  EXPECT_EQ(spec("\"0x10\"").sweep_seed, 16u);
+  EXPECT_EQ(spec("\"18446744073709551615\"").sweep_seed, ~0ull);
+  for (const char* bad :
+       {"\"99999999999999999999\"", "\"-1\"", "\" 42\"", "\"\""}) {
+    try {
+      (void)spec(bad);
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.key(), "sweep_seed") << bad;
+      EXPECT_EQ(e.line(), 1u) << bad;
+      EXPECT_EQ(e.column(), 2u) << bad;
+      EXPECT_NE(e.message().find("malformed seed string"), std::string::npos)
+          << bad;
+    }
+  }
+}
+
+TEST(SweepSpec, OptionalEnumAxisTakesNull) {
+  const explore::SweepSpec spec = explore::parse_sweep_spec(
+      R"({"axes": [{"key": "sched", "values": [null, "event"]}]})", "<t>");
+  ASSERT_EQ(spec.job_count(), 2u);
+  EXPECT_FALSE(spec.job_config(0).sched.has_value());
+  EXPECT_EQ(spec.job_config(1).sched, core::SchedMode::kEvent);
+}
+
 TEST(Scenario, SweepableKeyClassification) {
   EXPECT_TRUE(scenario::is_sweepable_key("pct"));
   EXPECT_TRUE(scenario::is_sweepable_key("design"));

@@ -1,19 +1,29 @@
 /// Scenario subsystem: loader round-trips (load -> dump -> load is
-/// identical, including randomized configs), scenario files vs
-/// hard-coded configs, structured parse errors for malformed scenario
+/// identical, including randomized configs), the schema rows tied to
+/// their structs (documented defaults, type text, every bound key
+/// through parse -> dump -> parse and apply_overrides), scenario files
+/// vs hard-coded configs, structured parse errors for malformed scenario
 /// and trace inputs, and the trace record -> replay loop (CSV and
 /// binary, dense and fast-forward) — all bit-identical.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "metrics_identical.hpp"
 #include "runner/fuzz.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/schema.hpp"
 #include "traffic/trace_replay.hpp"
 
 #ifndef ANNOC_SCENARIO_DIR
@@ -53,6 +63,8 @@ void expect_config_eq(const SystemConfig& a, const SystemConfig& b,
   EXPECT_EQ(a.audit_horizons, b.audit_horizons) << tag;
   EXPECT_EQ(a.pct, b.pct) << tag;
   EXPECT_EQ(a.num_gss_routers, b.num_gss_routers) << tag;
+  EXPECT_EQ(a.engine, b.engine) << tag;
+  EXPECT_EQ(a.dpq_promote_after, b.dpq_promote_after) << tag;
   EXPECT_EQ(a.engine_lookahead, b.engine_lookahead) << tag;
   EXPECT_EQ(a.engine_reorder_depth, b.engine_reorder_depth) << tag;
   EXPECT_EQ(a.engine_window, b.engine_window) << tag;
@@ -102,6 +114,9 @@ void expect_config_eq(const SystemConfig& a, const SystemConfig& b,
   ASSERT_EQ(a.controller_overrides.size(), b.controller_overrides.size())
       << tag;
   for (std::size_t i = 0; i < a.controller_overrides.size(); ++i) {
+    EXPECT_EQ(a.controller_overrides[i].engine,
+              b.controller_overrides[i].engine)
+        << tag << " ctrl " << i;
     EXPECT_EQ(a.controller_overrides[i].engine_lookahead,
               b.controller_overrides[i].engine_lookahead)
         << tag << " ctrl " << i;
@@ -129,12 +144,16 @@ ParseError capture(const std::string& text,
 // --- loader round-trips -------------------------------------------------
 
 TEST(ScenarioRoundTrip, CheckedInScenarioFiles) {
-  const char* files[] = {
-      "table2_conv_pfs.json", "table2_ref4_pfs.json", "table2_gss.json",
-      "table2_gss_sagm.json", "example_patterns.json",
-      "ring8_dual_ctrl.json", "ddtv_8x8_quad_ctrl.json",
-  };
-  for (const char* f : files) {
+  std::vector<std::string> files;
+  for (const auto& e :
+       std::filesystem::directory_iterator(ANNOC_SCENARIO_DIR)) {
+    if (e.is_regular_file() && e.path().extension() == ".json") {
+      files.push_back(e.path().filename().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 9u);
+  for (const std::string& f : files) {
     const Scenario s = scenario::load_scenario(scenario_path(f));
     const std::string dump1 = scenario::dump_scenario(s);
     const Scenario back = scenario::parse_scenario(dump1, "<dump>");
@@ -193,6 +212,317 @@ TEST(ScenarioRoundTrip, ScenarioFileMatchesHardcodedConfig) {
   expect_config_eq(s.config, expect, "table2_gss_sagm");
 }
 
+// --- schema rows tied to their structs ----------------------------------
+
+using scenario::Binding;
+using scenario::KeyInfo;
+using scenario::Kind;
+
+/// The `type` text a row of each binding kind documents.
+std::string type_text(const Binding& b) {
+  switch (b.kind) {
+    case Kind::kHand: return "";
+    case Kind::kBool: return "bool";
+    case Kind::kInt:
+    case Kind::kDouble: return "number";
+    case Kind::kString:
+    case Kind::kChecked: return "string";
+    case Kind::kOptInt: return "number|null";
+    case Kind::kSeed: return "number|string";
+    case Kind::kEnum: return b.max != 0 ? "number" : "string";
+    case Kind::kOptEnum: return "string|null";
+  }
+  return "?";
+}
+
+/// One scalar JSON text as a value; a bare word that is not JSON (a
+/// documented default like `gss`) reads as that string.
+scenario::JsonValue scalar(const std::string& text) {
+  try {
+    return scenario::parse_json(text, "<scalar>");
+  } catch (const ParseError&) {
+    scenario::JsonValue v;
+    v.kind = scenario::JsonKind::kString;
+    v.string = text;
+    return v;
+  }
+}
+
+bool same_scalar(const scenario::JsonValue& a, const scenario::JsonValue& b) {
+  return a.kind == b.kind && a.boolean == b.boolean && a.number == b.number &&
+         a.string == b.string;
+}
+
+/// A scenario table with the default-constructed struct its rows bind.
+struct Table {
+  const char* name;
+  std::span<const KeyInfo> rows;
+  const void* defaults;
+};
+
+const SystemConfig kDefaultConfig{};
+const traffic::CoreSpec kDefaultCore{};
+const fault::FaultSpec kDefaultFault{};
+const core::ControllerOverrides kDefaultOverrides{};
+const noc::NocConfig kDefaultNoc{};
+
+const Table kTables[] = {
+    {"top level", scenario::kScenarioKeys, &kDefaultConfig},
+    {"mesh", scenario::kMeshKeys, &kDefaultNoc},
+    {"cores[]", scenario::kCoreKeys, &kDefaultCore},
+    {"faults[]", scenario::kFaultKeys, &kDefaultFault},
+    {"topology", scenario::kTopologyKeys, &kDefaultNoc},
+    {"memory", scenario::kMemoryKeys, nullptr},
+    {"memory.controllers[]", scenario::kControllerKeys, &kDefaultOverrides},
+};
+
+TEST(ScenarioSchema, DocumentedDefaultIsTheStructDefault) {
+  for (const Table& t : kTables) {
+    for (const KeyInfo& k : t.rows) {
+      const std::string def = k.def;
+      if (k.bind.kind == Kind::kHand || def == "-" || def == "auto") continue;
+      std::string dumped = k.dump(t.defaults);
+      if (dumped.empty()) dumped = "null";  // an unset optional enum
+      EXPECT_TRUE(same_scalar(scalar(def), scalar(dumped)))
+          << t.name << " key '" << k.key << "': documented " << def
+          << ", struct default " << dumped;
+    }
+  }
+}
+
+TEST(ScenarioSchema, TypeTextMatchesTheBinding) {
+  for (const Table& t : kTables) {
+    for (const KeyInfo& k : t.rows) {
+      if (k.bind.kind == Kind::kHand) continue;
+      EXPECT_EQ(k.type, type_text(k.bind)) << t.name << " key '" << k.key
+                                           << "'";
+    }
+  }
+}
+
+TEST(ScenarioSchema, HandWrittenKeysAreTheStructuralOnes) {
+  const std::map<std::string, std::vector<std::string>> hand = {
+      {"top level",
+       {"name", "app", "faults", "topology", "memory", "mesh", "cores"}},
+      {"mesh", {}},
+      {"cores[]", {"name", "node", "sizes", "region_base"}},
+      {"faults[]", {"kind", "banks"}},
+      {"topology", {"nodes", "links"}},
+      {"memory", {"nodes", "controllers"}},
+      {"memory.controllers[]", {}},
+  };
+  for (const Table& t : kTables) {
+    std::vector<std::string> got;
+    for (const KeyInfo& k : t.rows) {
+      if (k.bind.kind == Kind::kHand) got.emplace_back(k.key);
+    }
+    std::vector<std::string> want = hand.at(t.name);
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want) << t.name;
+  }
+}
+
+/// In-range values for the bound kinds the generic picker below cannot
+/// invent: enum tokens and checked strings.
+const std::map<std::string, std::string, std::less<>> kSampleValues = {
+    {"design", "\"conv\""},      {"ddr", "1"},
+    {"sched", "\"event\""},      {"engine", "\"dpq\""},
+    {"observe", "\"full\""},     {"pattern", "\"hotspot\""},
+    {"mesh_preset", "\"2x2\""},  {"fault.kinds", "\"slow_router\""},
+};
+
+/// A non-default, in-range value for a bound row, as JSON text.
+std::string other_value(const KeyInfo& k, const void* defaults) {
+  const std::string def = k.dump(defaults);
+  switch (k.bind.kind) {
+    case Kind::kBool: return def == "true" ? "false" : "true";
+    case Kind::kInt:
+    case Kind::kDouble:
+    case Kind::kOptInt: {
+      const std::uint64_t lo = k.bind.min;
+      return std::to_string(std::to_string(lo) == def ? lo + 1 : lo);
+    }
+    case Kind::kSeed: return "\"18446744073709551615\"";
+    case Kind::kString: return "\"x\"";
+    default: break;
+  }
+  const auto it = kSampleValues.find(k.key);
+  if (it == kSampleValues.end()) {
+    ADD_FAILURE() << "add a sample value for key '" << k.key << "'";
+    return "null";
+  }
+  return it->second;
+}
+
+/// `{"k": v, ...}` with `key` set to `value` (replacing a base member).
+std::string object_with(std::vector<std::pair<std::string, std::string>> base,
+                        std::string_view key, const std::string& value) {
+  const auto it = std::find_if(base.begin(), base.end(),
+                               [&](const auto& m) { return m.first == key; });
+  if (it != base.end()) {
+    it->second = value;
+  } else {
+    base.emplace_back(key, value);
+  }
+  std::string out = "{";
+  for (const auto& [k, v] : base) {
+    if (out.size() > 1) out += ", ";
+    out += "\"" + k + "\": " + v;
+  }
+  return out + "}";
+}
+
+/// Where each table's row sits in a scenario, and how to find the
+/// struct it binds in the loaded config.
+struct Context {
+  std::function<std::string(const KeyInfo&, const std::string&)> wrap;
+  std::function<const void*(const SystemConfig&)> target;
+};
+
+const std::map<std::string, Context>& contexts() {
+  static const std::map<std::string, Context> kContexts = {
+      {"top level",
+       {[](const KeyInfo& k, const std::string& v) {
+          return object_with({}, k.key, v);
+        },
+        [](const SystemConfig& c) -> const void* { return &c; }}},
+      {"cores[]",
+       {[](const KeyInfo& k, const std::string& v) {
+          return "{\"mesh\": {\"width\": 1, \"height\": 1}, \"cores\": [" +
+                 object_with({{"name", "\"a\""}, {"node", "0"}}, k.key, v) +
+                 "]}";
+        },
+        [](const SystemConfig& c) -> const void* {
+          return &c.custom_app->cores[0].spec;
+        }}},
+      {"mesh",
+       {[](const KeyInfo& k, const std::string& v) {
+          return "{\"mesh\": " +
+                 object_with({{"width", "2"}, {"height", "2"}}, k.key, v) +
+                 ", \"cores\": [{\"name\": \"a\", \"node\": 0}]}";
+        },
+        [](const SystemConfig& c) -> const void* {
+          return &c.custom_app->noc;
+        }}},
+      {"topology",
+       {[](const KeyInfo& k, const std::string& v) {
+          return "{\"topology\": " +
+                 object_with({{"nodes", "[\"a\", \"b\"]"},
+                              {"links", "[[\"a\", \"b\"]]"}},
+                             k.key, v) +
+                 ", \"cores\": [{\"name\": \"x\", \"node\": \"a\"}]}";
+        },
+        [](const SystemConfig& c) -> const void* {
+          return &c.custom_app->noc;
+        }}},
+      {"memory.controllers[]",
+       {[](const KeyInfo& k, const std::string& v) {
+          return "{\"app\": \"ddtv\", \"num_controllers\": 2, "
+                 "\"memory\": {\"controllers\": [" +
+                 object_with({}, k.key, v) + "]}}";
+        },
+        [](const SystemConfig& c) -> const void* {
+          return &c.controller_overrides[0];
+        }}},
+      {"faults[]",
+       {[](const KeyInfo& k, const std::string& v) {
+          // A kind the row applies to (kind-specific rows are only
+          // dumped for their kinds).
+          unsigned kind = 0;
+          while (k.bind.variants != 0 && !(k.bind.variants & (1u << kind))) {
+            ++kind;
+          }
+          const std::string token =
+              to_string(static_cast<fault::FaultKind>(kind));
+          return "{\"refresh\": true, \"faults\": [" +
+                 object_with({{"kind", "\"" + token + "\""},
+                              {"a", "0"},
+                              {"b", "2"},
+                              {"trefi", "100"},
+                              {"extra_trcd", "1"}},
+                             k.key, v) +
+                 "]}";
+        },
+        [](const SystemConfig& c) -> const void* { return &c.faults[0]; }}},
+  };
+  return kContexts;
+}
+
+TEST(ScenarioSchema, EveryBoundKeySurvivesParseDumpParse) {
+  // expect_config_eq compares named fields, and a dump-idempotence check
+  // cannot see a key the dumper drops; this walks every bound row.
+  for (const Table& t : kTables) {
+    if (t.defaults == nullptr) continue;
+    const Context& ctx = contexts().at(t.name);
+    for (const KeyInfo& k : t.rows) {
+      if (k.bind.kind == Kind::kHand) continue;
+      const std::string value = other_value(k, t.defaults);
+      const std::string text = ctx.wrap(k, value);
+      SCOPED_TRACE(std::string(t.name) + " key '" + std::string(k.key) +
+                   "': " + text);
+      try {
+        const Scenario s = scenario::parse_scenario(text, "<row>");
+        EXPECT_EQ(k.dump(ctx.target(s.config)), value);
+        const std::string dump1 = scenario::dump_scenario(s);
+        const Scenario back = scenario::parse_scenario(dump1, "<dump>");
+        EXPECT_EQ(k.dump(ctx.target(back.config)), value);
+        EXPECT_EQ(scenario::dump_scenario(back), dump1);
+      } catch (const ParseError& e) {
+        ADD_FAILURE() << e.to_string();
+      }
+    }
+  }
+}
+
+TEST(ScenarioSchema, FaultsDumpOnlyTheirKindsKeys) {
+  const std::map<std::string, std::vector<std::string>> keys = {
+      {"dead_link", {"kind", "at", "until", "a", "b"}},
+      {"degraded_link", {"kind", "at", "until", "a", "b", "penalty"}},
+      {"slow_router", {"kind", "at", "until", "router", "period"}},
+      {"refresh_storm", {"kind", "at", "until", "channel", "trefi"}},
+      {"throttled_banks",
+       {"kind", "at", "until", "channel", "banks", "extra_trcd", "extra_trp"}},
+  };
+  for (const auto& [kind, want] : keys) {
+    const Scenario s = scenario::parse_scenario(
+        "{\"refresh\": true, \"faults\": [{\"kind\": \"" + kind +
+            "\", \"a\": 0, \"b\": 1, \"trefi\": 100, \"extra_trcd\": 1}]}",
+        "<fault>");
+    const scenario::JsonValue dumped =
+        scenario::parse_json(scenario::dump_scenario(s), "<dump>");
+    std::vector<std::string> got;
+    for (const scenario::JsonMember& m :
+         dumped.find("faults")->value().array[0].object) {
+      got.push_back(m.name);
+    }
+    EXPECT_EQ(got, want) << kind;
+  }
+}
+
+TEST(ScenarioSchema, EverySweepableKeyApplies) {
+  for (const KeyInfo& k : scenario::kScenarioKeys) {
+    if (k.bind.kind == Kind::kHand) continue;
+    const std::string value = other_value(k, &kDefaultConfig);
+    const scenario::JsonValue point =
+        scenario::parse_json(object_with({}, k.key, value), "<point>");
+    SystemConfig cfg;
+    SCOPED_TRACE("key '" + std::string(k.key) + "' = " + value);
+    EXPECT_EQ(scenario::is_sweepable_key(k.key), k.bind.sweep);
+    if (!k.bind.sweep) {
+      EXPECT_THROW(scenario::apply_overrides(cfg, point, "<point>"),
+                   ParseError);
+      continue;
+    }
+    try {
+      scenario::apply_overrides(cfg, point, "<point>");
+      EXPECT_EQ(k.dump(&cfg), value);
+    } catch (const ParseError& e) {
+      ADD_FAILURE() << e.to_string();
+    }
+  }
+}
+
 // --- structured parse errors -------------------------------------------
 
 TEST(ScenarioErrors, SyntaxErrorCarriesPosition) {
@@ -236,6 +566,28 @@ TEST(ScenarioSched, ParsesAndRoundTrips) {
   EXPECT_FALSE(unset.config.sched.has_value());
   EXPECT_EQ(unset.config.resolved_sched(),
             core::SchedMode::kFastForward);
+
+  // The documented `null` means unset, as for the other optional knobs.
+  const Scenario null_sched =
+      scenario::parse_scenario("{\"sched\": null}", "<test>");
+  EXPECT_FALSE(null_sched.config.sched.has_value());
+}
+
+TEST(ScenarioErrors, SeedStringsAreStrict) {
+  EXPECT_EQ(scenario::parse_scenario("{\"seed\": \"017\"}", "<t>").config.seed,
+            17u);  // decimal, never octal
+  EXPECT_EQ(
+      scenario::parse_scenario("{\"fault.seed\": \"0x10\"}", "<t>")
+          .config.fault_seed,
+      16u);
+  for (const char* bad : {"-1", " 42", "+7", "", "99999999999999999999"}) {
+    const ParseError e =
+        capture("{\n  \"seed\": \"" + std::string(bad) + "\"\n}");
+    EXPECT_EQ(e.key(), "seed") << bad;
+    EXPECT_EQ(e.line(), 2u) << bad;
+    EXPECT_EQ(e.column(), 3u) << bad;
+  }
+  EXPECT_EQ(capture("{\"fault.seed\": \"-3\"}").key(), "fault.seed");
 }
 
 TEST(ScenarioErrors, DuplicateKey) {
@@ -338,6 +690,14 @@ TEST(TraceErrors, CsvDiagnostics) {
   EXPECT_EQ(e.line(), 3u);
   e = capture_csv(header + "banana,0,0x100,R,64,0\n");
   EXPECT_EQ(e.key(), "cycle");
+  // Signs, overflow and octal-looking text no longer wrap or saturate.
+  e = capture_csv(header + "-5,0,0x100,R,64,0\n");
+  EXPECT_EQ(e.key(), "cycle");
+  EXPECT_EQ(e.line(), 2u);
+  e = capture_csv(header + "1,0,99999999999999999999,R,64,0\n");
+  EXPECT_EQ(e.key(), "addr");
+  e = capture_csv(header + "1,0,0x100,R,+64,0\n");
+  EXPECT_EQ(e.key(), "bytes");
 }
 
 TEST(TraceErrors, BinaryDiagnostics) {

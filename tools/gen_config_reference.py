@@ -8,6 +8,9 @@ knob — so the table doubles as a coverage map. Also parses the KeyInfo
 tables in scenario/schema.hpp and explore/sweep_schema.hpp into the
 "Scenario file schema" and "Sweep spec schema" sections, so neither
 JSON surface documented here can drift from what the loaders accept.
+A row is `{"key", "type", "default", binding, "doc"}`; the generator
+reads its first three string literals and its last one, so the binding
+(the member the key sets) may hold literals of its own.
 Stdlib only; run from the repository root:
 
     python3 tools/gen_config_reference.py          # rewrite the doc
@@ -110,28 +113,50 @@ SWEEP_TABLES = [
 STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 
+def split_rows(body: str):
+    """Top-level `{...}` groups of a table body, skipping string literals
+    (their braces are text) and nested binding braces."""
+    rows, depth, start, i = [], 0, 0, 0
+    while i < len(body):
+        if body[i] == '"':
+            i = STRING_RE.match(body, i).end()
+            continue
+        if body[i] == "{":
+            depth += 1
+            if depth == 1:
+                start = i
+        elif body[i] == "}":
+            depth -= 1
+            if depth == 0:
+                rows.append(body[start : i + 1])
+        i += 1
+    return rows
+
+
 def parse_schema_array(text: str, array: str, origin: str = "schema.hpp"):
     """Rows of one `inline constexpr KeyInfo <array>[] = {...}` table.
 
-    Each entry is `{"key", "type", "default", "doc"},` (schema.hpp and
-    sweep_schema.hpp keep that shape by contract); we pull the string
-    literals and group them in fours.
+    Each entry is `{"key", "type", "default", binding, "doc"},`: we take
+    the first three string literals and the last one, and skip the
+    binding between them.
     """
     m = re.search(re.escape(array) + r"\[\]\s*=\s*\{", text)
     if not m:
         raise SystemExit(f"{array} not found in {origin}")
-    body = text[m.end() : text.index("};", m.end())]
-    lits = [s.replace('\\"', '"') for s in STRING_RE.findall(body)]
-    if not lits or len(lits) % 4:
-        raise SystemExit(
-            f"{array}: expected groups of four string literals, got"
-            f" {len(lits)} — keep the {{key, type, default, doc}} shape"
-        )
-    return [
-        {"key": lits[i], "type": lits[i + 1], "default": lits[i + 2],
-         "doc": lits[i + 3]}
-        for i in range(0, len(lits), 4)
-    ]
+    body = text[m.end() : text.index("\n};", m.end())]
+    rows = []
+    for row in split_rows(body):
+        lits = [s.replace('\\"', '"') for s in STRING_RE.findall(row)]
+        if len(lits) < 4:
+            raise SystemExit(
+                f"{array}: a row with {len(lits)} string literals — keep"
+                " the {key, type, default, binding, doc} shape"
+            )
+        rows.append({"key": lits[0], "type": lits[1], "default": lits[2],
+                     "doc": lits[-1]})
+    if not rows:
+        raise SystemExit(f"{array}: no rows")
+    return rows
 
 
 def extract_struct(text: str) -> str:
