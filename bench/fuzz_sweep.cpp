@@ -4,9 +4,10 @@
 ///   fuzz_sweep [--seed S] [--runs N]
 ///
 /// Each seed exercises four design points in three execution modes
-/// with the self-checking layer attached; a seed passes only if every
-/// mode agrees bitwise and the checkers stay silent. Exits non-zero on
-/// the first failing seed. CI (sanitize workflow) runs 25 seeds under
+/// with the self-checking layer attached, then the idle leg (a random
+/// gated, near-idle custom SoC); a seed passes only if every mode
+/// agrees bitwise and the checkers stay silent. Exits non-zero on the
+/// first failing seed. CI (sanitize workflow) runs 25 seeds under
 /// AddressSanitizer.
 #include <cstdio>
 #include <cstdlib>
@@ -65,7 +66,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(seed));
   for (std::uint64_t i = 0; i < runs; ++i) {
     const std::uint64_t s = seed + i;
-    const std::string verdict = annoc::runner::fuzz_seed(s);
+    std::string verdict = annoc::runner::fuzz_seed(s);
+    if (verdict.empty()) verdict = annoc::runner::fuzz_idle_seed(s);
     if (!verdict.empty()) {
       std::printf("FAIL seed %llu: %s\n",
                   static_cast<unsigned long long>(s), verdict.c_str());

@@ -882,10 +882,12 @@ void Simulator::try_fast_forward(Cycle limit) {
   }
   // Never jump over a phase boundary: begin/end_measurement must take
   // their stat snapshots on the exact cycle dense stepping would. The
+  // warmup clamp includes the boundary cycle itself: the clock can sit
+  // on warmup_cycles before the step that begins the measurement. The
   // same goes for fault edges (they mutate component state) and the
   // watchdog deadline (the stalled cycle must execute to be observed).
   Cycle cap = limit;
-  if (now_ < cfg_.warmup_cycles) cap = std::min(cap, cfg_.warmup_cycles);
+  if (now_ <= cfg_.warmup_cycles) cap = std::min(cap, cfg_.warmup_cycles);
   const Cycle measure_end = cfg_.warmup_cycles + cfg_.sim_cycles;
   if (now_ < measure_end) cap = std::min(cap, measure_end);
   cap = std::min(cap, next_fault_edge_);
@@ -1017,7 +1019,7 @@ void Simulator::advance_event(Cycle limit) {
   // edges and the watchdog deadline clamp for the same reason as in
   // try_fast_forward.
   Cycle cap = limit;
-  if (now_ < cfg_.warmup_cycles) cap = std::min(cap, cfg_.warmup_cycles);
+  if (now_ <= cfg_.warmup_cycles) cap = std::min(cap, cfg_.warmup_cycles);
   const Cycle measure_end = cfg_.warmup_cycles + cfg_.sim_cycles;
   if (now_ < measure_end) cap = std::min(cap, measure_end);
   cap = std::min(cap, next_fault_edge_);

@@ -105,27 +105,16 @@ std::string sanity_check(const core::SystemConfig& cfg,
                 static_cast<double>(m.outstanding_requests),
                 static_cast<double>(m.drained_cycles));
   }
-  const double fairness =
-      m.fairness_index(traffic::build_application(cfg.app));
+  const double fairness = m.fairness_index(
+      cfg.custom_app ? *cfg.custom_app : traffic::build_application(cfg.app));
   if (fairness < 0.0 || fairness > 1.0 + 1e-4) {
     return fail("Jain fairness index outside [0,1]", fairness, 1.0);
   }
   return "";
 }
 
-}  // namespace
-
-core::SystemConfig random_config(std::uint64_t seed) {
-  // Decorrelate from the traffic RNG streams (which splitmix the
-  // per-run seed directly).
-  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 0x243f6a8885a308d3ULL);
-  core::SystemConfig cfg;
-
-  const traffic::AppId apps[] = {traffic::AppId::kBluray,
-                                 traffic::AppId::kSingleDtv,
-                                 traffic::AppId::kDualDtv};
-  cfg.app = apps[rng.next_below(3)];
-
+/// A DDR generation and one of its clocks.
+void draw_ddr(Rng& rng, core::SystemConfig& cfg) {
   switch (rng.next_below(3)) {
     case 0: {
       cfg.generation = sdram::DdrGeneration::kDdr1;
@@ -146,6 +135,22 @@ core::SystemConfig random_config(std::uint64_t seed) {
       break;
     }
   }
+}
+
+}  // namespace
+
+core::SystemConfig random_config(std::uint64_t seed) {
+  // Decorrelate from the traffic RNG streams (which splitmix the
+  // per-run seed directly).
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 0x243f6a8885a308d3ULL);
+  core::SystemConfig cfg;
+
+  const traffic::AppId apps[] = {traffic::AppId::kBluray,
+                                 traffic::AppId::kSingleDtv,
+                                 traffic::AppId::kDualDtv};
+  cfg.app = apps[rng.next_below(3)];
+
+  draw_ddr(rng, cfg);
 
   // Short windows: the differential runs every config six times.
   cfg.sim_cycles = 3000 + rng.next_below(5001);
@@ -341,6 +346,75 @@ std::string fuzz_fault_seed(std::uint64_t seed) {
   if (err.empty()) return "";
   char buf[64];
   std::snprintf(buf, sizeof buf, "fault leg, seed %llu: ",
+                static_cast<unsigned long long>(seed));
+  return buf + err;
+}
+
+core::SystemConfig random_idle_config(std::uint64_t seed) {
+  Rng rng(seed * 0xd1b54a32d192ed03ULL + 0x8cb92ba72f3d8dd7ULL);
+  core::SystemConfig cfg;
+  const core::DesignPoint designs[] = {
+      core::DesignPoint::kConv, core::DesignPoint::kRef4,
+      core::DesignPoint::kGss, core::DesignPoint::kGssSagm,
+      core::DesignPoint::kGssSagmSti};
+  cfg.design = designs[rng.next_below(5)];
+  draw_ddr(rng, cfg);
+  cfg.priority_enabled = rng.chance(0.5);
+  cfg.refresh = rng.chance(1.0 / 3.0);
+  cfg.sim_cycles = 20000 + rng.next_below(40001);
+  cfg.warmup_cycles = 500 + rng.next_below(4501);
+  cfg.drain_cycle_limit = 3000 + rng.next_below(3001);
+  cfg.seed = rng.next_u64();
+
+  traffic::Application app;
+  app.name = "idle-fuzz";
+  app.noc.width = app.noc.height = rng.chance(0.5) ? 2 : 3;
+  const std::uint64_t nodes = std::uint64_t{app.noc.width} * app.noc.height;
+  app.noc.mem_node = static_cast<NodeId>(rng.next_below(nodes));
+  const std::uint64_t num_cores = 2 + rng.next_below(nodes - 1);
+  const std::uint32_t sizes[] = {32, 64, 128, 256};
+  for (std::uint64_t i = 0; i < num_cores; ++i) {
+    traffic::CoreSpec s;
+    s.name = "c" + std::to_string(i);
+    s.is_mpu = rng.chance(0.25);
+    if (s.is_mpu) s.demand_fraction = 0.5 + 0.5 * rng.next_double();
+    s.read_fraction = rng.next_double();
+    // Log-uniform over [0.001, 0.5] B/cycle.
+    s.bytes_per_cycle = 0.001 * std::pow(500.0, rng.next_double());
+    s.sizes = {{sizes[rng.next_below(4)], 1.0}};
+    if (rng.chance(0.5)) s.sizes.push_back({sizes[rng.next_below(4)], 1.0});
+    s.max_outstanding = 1 + static_cast<std::uint32_t>(rng.next_below(8));
+    s.open_loop = rng.chance(0.5);
+    s.sequential_fraction = 0.5 + 0.5 * rng.next_double();
+    s.region_base = i << 20;
+    s.region_bytes = 1u << 20;
+    switch (rng.next_below(3)) {
+      case 0:
+        s.pattern = traffic::TrafficPattern::kRandom;
+        break;
+      case 1:
+        s.pattern = traffic::TrafficPattern::kBursty;
+        s.burst_on_cycles = 50 + rng.next_below(1951);
+        s.burst_off_cycles = 200 + rng.next_below(19801);
+        break;
+      default:
+        s.pattern = traffic::TrafficPattern::kFramePeriodic;
+        s.frame_period = 1000 + rng.next_below(29001);
+        s.frame_active_fraction = 0.02 + 0.48 * rng.next_double();
+        break;
+    }
+    app.cores.push_back({std::move(s), static_cast<NodeId>(i)});
+  }
+  cfg.custom_app = std::move(app);
+  cfg.check = true;
+  return cfg;
+}
+
+std::string fuzz_idle_seed(std::uint64_t seed) {
+  const std::string err = run_differential(random_idle_config(seed));
+  if (err.empty()) return "";
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "idle leg, seed %llu: ",
                 static_cast<unsigned long long>(seed));
   return buf + err;
 }

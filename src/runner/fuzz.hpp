@@ -67,4 +67,17 @@ namespace annoc::runner {
 /// never fires on a live fabric. Returns "" on success.
 [[nodiscard]] std::string fuzz_fault_seed(std::uint64_t seed);
 
+/// Derive an idle-heavy config from a fuzz seed, on its own random
+/// stream (random_config's draws, and so its pinned seeds, stay put).
+/// A custom 2x2 or 3x3 application whose cores use the random, bursty
+/// or frame pattern at 0.001-0.5 B/cycle, open- or closed-loop, so the
+/// skipping schedulers jump long gated and idle gaps and catch the
+/// generators' credit up in closed form. Runs are tens of thousands of
+/// cycles to cover several bursts and frames. check is always on.
+[[nodiscard]] core::SystemConfig random_idle_config(std::uint64_t seed);
+
+/// Idle leg: run_differential() on random_idle_config(seed). Returns
+/// "" on success, else the failure tagged with the seed.
+[[nodiscard]] std::string fuzz_idle_seed(std::uint64_t seed);
+
 }  // namespace annoc::runner

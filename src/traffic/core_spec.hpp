@@ -2,6 +2,7 @@
 /// Declarative description of one IP core's memory-traffic behaviour.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -104,51 +105,56 @@ struct CoreSpec {
   double frame_active_fraction = 0.5;
 };
 
-/// Is the per-cycle emission gate open at `now`? Pure function of the
-/// cycle number (and the spec), so fast-forward replay of skipped
-/// cycles reproduces dense stepping bit for bit. Always true for
-/// kRandom and kHotspot.
-[[nodiscard]] inline bool pattern_gate_open(const CoreSpec& s, Cycle now) {
+/// A pattern's emission gate: open for the first `open` cycles of every
+/// `period` (cycle numbers counted from 0). `period == 0` means always
+/// open, which is every kRandom and kHotspot core.
+struct GateCycle {
+  Cycle period = 0;
+  Cycle open = 0;
+};
+
+[[nodiscard]] inline GateCycle gate_cycle(const CoreSpec& s) {
   switch (s.pattern) {
+    case TrafficPattern::kBursty:
+      return {s.burst_on_cycles + s.burst_off_cycles, s.burst_on_cycles};
+    case TrafficPattern::kFramePeriodic:
+      return {s.frame_period,
+              static_cast<Cycle>(s.frame_active_fraction *
+                                 static_cast<double>(s.frame_period))};
     case TrafficPattern::kRandom:
     case TrafficPattern::kHotspot:
-      return true;
-    case TrafficPattern::kBursty: {
-      const Cycle period = s.burst_on_cycles + s.burst_off_cycles;
-      return period == 0 || (now % period) < s.burst_on_cycles;
-    }
-    case TrafficPattern::kFramePeriodic: {
-      if (s.frame_period == 0) return true;
-      const auto active = static_cast<Cycle>(
-          s.frame_active_fraction * static_cast<double>(s.frame_period));
-      return (now % s.frame_period) < active;
-    }
+      break;
   }
-  return true;
+  return {};
+}
+
+/// Is the per-cycle emission gate open at `now`? Pure function of the
+/// cycle number (and the spec), so a skipping scheduler can count the
+/// open cycles it jumped (open_cycles_before) and stay bit-identical
+/// to dense stepping. Always true for kRandom and kHotspot.
+[[nodiscard]] inline bool pattern_gate_open(const CoreSpec& s, Cycle now) {
+  const GateCycle g = gate_cycle(s);
+  return g.period == 0 || now % g.period < g.open;
 }
 
 /// First cycle >= `now` with the gate open (kNeverCycle when the gate
 /// never opens, e.g. a zero-length on phase).
 [[nodiscard]] inline Cycle pattern_next_open(const CoreSpec& s, Cycle now) {
   if (pattern_gate_open(s, now)) return now;
-  Cycle period = 0;
-  switch (s.pattern) {
-    case TrafficPattern::kBursty:
-      period = s.burst_on_cycles + s.burst_off_cycles;
-      if (s.burst_on_cycles == 0) return kNeverCycle;
-      break;
-    case TrafficPattern::kFramePeriodic:
-      period = s.frame_period;
-      if (static_cast<Cycle>(s.frame_active_fraction *
-                             static_cast<double>(period)) == 0) {
-        return kNeverCycle;
-      }
-      break;
-    default:
-      return now;
-  }
+  const GateCycle g = gate_cycle(s);
+  if (g.open == 0) return kNeverCycle;
   // The gate reopens at the start of the next period.
-  return now + (period - now % period);
+  return now + (g.period - now % g.period);
+}
+
+/// Number of cycles in [0, now) with the gate open, in O(1): the gate
+/// repeats with its period, so whole periods contribute their open
+/// cycles each and the partial period its open head.
+[[nodiscard]] inline Cycle open_cycles_before(const CoreSpec& s, Cycle now) {
+  const GateCycle g = gate_cycle(s);
+  if (g.period == 0) return now;
+  const Cycle open = std::min(g.open, g.period);
+  return now / g.period * open + std::min(now % g.period, open);
 }
 
 }  // namespace annoc::traffic

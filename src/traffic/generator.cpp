@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/repeated_add.hpp"
 #include "traffic/splitter.hpp"
 
 namespace annoc::traffic {
@@ -126,20 +127,18 @@ void CoreGenerator::emit_request(Cycle now) {
 
 void CoreGenerator::tick(Cycle now, noc::Network& net) {
   const CoreSpec& s = cfg_.spec;
-  // Replay the cycles the fast-forward scheduler skipped since the last
+  // Catch up the cycles a skipping scheduler jumped since the last
   // executed tick. During a gap the emission state cannot change (no
   // completions, no emissions — the next_event horizon never jumps past
-  // the credit-crossing cycle), so each skipped cycle accrued credit
-  // exactly as a dense tick would: one addition per cycle, preserving
-  // the floating-point result bit for bit. The closed-loop cap is a
-  // provable no-op mid-accrual (credit < next_size <= 2*next_size).
-  if (accruing_ && last_tick_ != kNeverCycle) {
-    for (Cycle c = last_tick_ + 1; c < now; ++c) {
-      // Pattern gating is a pure function of the cycle number, so the
-      // replay can re-evaluate it per skipped cycle; kRandom/kHotspot
-      // gates are always open and this reduces to the original loop.
-      if (pattern_gate_open(s, c)) credit_ += s.bytes_per_cycle;
-    }
+  // the credit-crossing cycle), so every skipped cycle with the pattern
+  // gate open accrued credit exactly as a dense tick would, and
+  // repeated_add gives the result of those additions bit for bit. The
+  // closed-loop cap is a provable no-op mid-accrual (credit < next_size
+  // <= 2*next_size).
+  if (accruing_ && last_tick_ != kNeverCycle && now - last_tick_ > 1) {
+    credit_ = repeated_add(credit_, s.bytes_per_cycle,
+                           open_cycles_before(s, now) -
+                               open_cycles_before(s, last_tick_ + 1));
   }
   last_tick_ = now;
   // Open-loop cores accrue credit unconditionally (their rate is a
@@ -189,18 +188,26 @@ Cycle CoreGenerator::next_event(Cycle now) const {
     }
     // Lower bound on the cycle the accrued credit reaches next_size_.
     // The margin absorbs the rounding drift of the per-cycle additions
-    // the replay will perform; under-estimating only costs a few dense
+    // the catch-up reproduces; under-estimating only costs a few dense
     // steps near the crossing, over-estimating would skip an emission.
     // For gated patterns the estimate assumes the gate stays open — a
     // further under-estimate, still safe.
     const double steps =
         (static_cast<double>(next_size_) - credit_) / s.bytes_per_cycle;
+    // A tiny rate can put the estimate past every representable cycle,
+    // so it is clamped before the cast (converting it would be
+    // undefined) and added without wrapping; both clamps keep it a
+    // lower bound.
+    constexpr Cycle kFar = Cycle{1} << 62;
     Cycle k = 1;
     if (steps > 2.0) {
-      k = static_cast<Cycle>(steps * (1.0 - 1e-6)) - 1;
+      const double est = steps * (1.0 - 1e-6);
+      k = est < static_cast<double>(kFar) ? static_cast<Cycle>(est) - 1
+                                          : kFar;
     }
     const Cycle from = last_tick_ == kNeverCycle ? now : last_tick_;
-    h = std::min(h, std::max(from + k, now));
+    const Cycle at = k < kNeverCycle - from ? from + k : kNeverCycle;
+    h = std::min(h, std::max(at, now));
   }
   return h;
 }

@@ -55,9 +55,10 @@ class CoreGenerator final : public TrafficSource {
                 const sdram::AddressMapper& mapper, PacketId& id_source);
 
   /// Generate (credit permitting) and inject (link/buffer permitting).
-  /// Cycles skipped by the fast-forward scheduler are replayed as
-  /// individual credit additions, so the floating-point accumulation is
-  /// bit-identical to dense stepping (a += k*b is not k times a += b).
+  /// Credit for the gate-open cycles a skipping scheduler jumped is
+  /// caught up in closed form by repeated_add, which returns the bits
+  /// of dense stepping's per-cycle additions (a += k*b is not k times
+  /// a += b).
   void tick(Cycle now, noc::Network& net) override;
 
   /// Earliest future cycle (>= now) this generator can act: inject its
@@ -106,7 +107,7 @@ class CoreGenerator final : public TrafficSource {
   Cycle link_free_at_ = 0;
   /// Cycle of the last executed tick (kNeverCycle before the first) and
   /// whether credit was accruing at it — the state that governs the
-  /// replay of fast-forwarded cycles.
+  /// catch-up of skipped cycles.
   Cycle last_tick_ = kNeverCycle;
   bool accruing_ = false;
   /// Size-mix weights, precomputed so pick_size() never allocates.

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -262,6 +263,42 @@ TEST(EventSched, BitIdenticalAcrossAllThreeModes) {
   const Metrics event = run_simulation(cfg);
   expect_metrics_identical(dense, fast, "fast_vs_dense");
   expect_metrics_identical(dense, event, "event_vs_dense");
+}
+
+TEST(EventSched, TinyRateCoresBitIdenticalInAllThreeModes) {
+  // The schema admits any rate in [0, 1e6]. At 1e-20 B/cycle the
+  // emission estimate is ~3e21 cycles away, past every representable
+  // cycle; at the smallest subnormal it is infinite, and the credit
+  // stays subnormal. next_event must clamp both (the unclamped cast is
+  // undefined behaviour) and every mode must still agree.
+  traffic::Application app;
+  app.name = "tiny-rates";
+  app.noc.width = 2;
+  app.noc.height = 2;
+  app.noc.mem_node = 0;
+  const double rates[] = {1e-20, std::bit_cast<double>(std::uint64_t{1}),
+                          0.02};
+  for (std::size_t i = 0; i < std::size(rates); ++i) {
+    traffic::CoreSpec spec;
+    spec.name = "core" + std::to_string(i);
+    spec.bytes_per_cycle = rates[i];
+    spec.sizes = {{32, 1.0}};
+    spec.region_base = i << 20;
+    spec.region_bytes = 1 << 20;
+    app.cores.push_back({spec, static_cast<NodeId>(i + 1)});
+  }
+  SystemConfig cfg = base_config();
+  cfg.custom_app = app;
+  cfg.sim_cycles = 20000;
+  cfg.sched = SchedMode::kDense;
+  const Metrics dense = run_simulation(cfg);
+  cfg.sched = SchedMode::kFastForward;
+  const Metrics fast = run_simulation(cfg);
+  cfg.sched = SchedMode::kEvent;
+  const Metrics event = run_simulation(cfg);
+  expect_metrics_identical(dense, fast, "fast_vs_dense");
+  expect_metrics_identical(dense, event, "event_vs_dense");
+  EXPECT_GT(dense.completed_requests, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -2,7 +2,9 @@
 /// derives a random-valid SystemConfig, runs it at four design points
 /// plus two explicit-engine legs (one always the DPQ bounded-latency
 /// arbiter) in all three execution modes with the self-checkers
-/// attached, and demands bit-identical Metrics plus sanity bounds. CI runs a fixed
+/// attached, and demands bit-identical Metrics plus sanity bounds; the
+/// fault and idle legs do the same on faulted and on gated near-idle
+/// configs. CI runs a fixed
 /// default seed for reproducibility; widen the sweep with
 ///   ANNOC_FUZZ_SEED=<base> ANNOC_FUZZ_RUNS=<n> ./fuzz_sim_test
 /// or use bench/fuzz_sweep for command-line driving.
@@ -70,6 +72,63 @@ TEST(FuzzSim, RandomFaultLeg) {
     EXPECT_EQ(verdict, "") << "fault-leg seed " << seed << " diverged";
     if (::testing::Test::HasFailure()) break;
   }
+}
+
+TEST(FuzzSim, IdleLeg) {
+  // Idle differential (see fuzz_idle_seed): a random gated, near-idle
+  // custom SoC, so fast-forward and event mode jump long gaps and the
+  // generators catch their credit up in closed form. random_config
+  // draws only the saturated, ungated paper applications.
+  const std::uint64_t base = env_u64("ANNOC_FUZZ_SEED", 20260806);
+  const std::uint64_t runs = env_u64("ANNOC_FUZZ_RUNS", 2);
+  for (std::uint64_t i = 0; i < runs; ++i) {
+    const std::uint64_t seed = base + i;
+    const std::string verdict = fuzz_idle_seed(seed);
+    EXPECT_EQ(verdict, "") << "idle-leg seed " << seed << " diverged";
+    if (::testing::Test::HasFailure()) break;
+  }
+}
+
+TEST(FuzzSim, RegressionSeedIdleWarmupEdge) {
+  // Pinned regression for the skipping schedulers' warmup clamp: in
+  // seed 5031's idle config an executed cycle ends exactly on
+  // warmup_cycles with every horizon further out, and fast-forward
+  // used to jump over the step that begins the measurement (window one
+  // cycle short, utilization off in the last bits).
+  const core::SystemConfig cfg = random_idle_config(5031);
+  core::SystemConfig fast = cfg;
+  fast.sched = core::SchedMode::kFastForward;
+  EXPECT_EQ(core::run_simulation(fast).measured_cycles, cfg.sim_cycles);
+  EXPECT_EQ(fuzz_idle_seed(5031), "");
+}
+
+TEST(FuzzSim, IdleConfigsAreGatedAndSkippable) {
+  bool gated = false, open_loop = false, closed_loop = false;
+  std::uint64_t executed = 0, skipped = 0;
+  for (std::uint64_t s = 20260806; s < 20260806 + 8; ++s) {
+    core::SystemConfig cfg = random_idle_config(s);
+    ASSERT_TRUE(cfg.custom_app.has_value());
+    const traffic::Application& app = *cfg.custom_app;
+    EXPECT_TRUE(app.noc.width == 2 || app.noc.width == 3);
+    EXPECT_EQ(app.noc.width, app.noc.height);
+    EXPECT_TRUE(cfg.check);
+    for (const traffic::CorePlacement& c : app.cores) {
+      EXPECT_GE(c.spec.bytes_per_cycle, 0.001);
+      EXPECT_LE(c.spec.bytes_per_cycle, 0.5);
+      gated |= c.spec.pattern != traffic::TrafficPattern::kRandom;
+      (c.spec.open_loop ? open_loop : closed_loop) = true;
+    }
+    cfg.sched = core::SchedMode::kEvent;
+    core::Simulator sim(cfg);
+    (void)sim.run();
+    executed += sim.sched_counters().executed_cycles;
+    skipped += sim.sched_counters().skipped_cycles;
+  }
+  EXPECT_TRUE(gated);
+  EXPECT_TRUE(open_loop);
+  EXPECT_TRUE(closed_loop);
+  // The point of the leg: the skipping schedulers jump most cycles.
+  EXPECT_GT(skipped, executed);
 }
 
 TEST(FuzzSim, ConfigsAreValidAndDeterministic) {

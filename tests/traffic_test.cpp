@@ -1,9 +1,14 @@
-/// Tests for the traffic layer: SAGM splitter, core generators and the
-/// three application models.
+/// Tests for the traffic layer: SAGM splitter, core generators, the
+/// closed-form credit catch-up and the three application models.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstring>
 #include <set>
 
+#include "common/repeated_add.hpp"
+#include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "traffic/application.hpp"
 #include "traffic/generator.hpp"
@@ -372,6 +377,144 @@ TEST_F(GeneratorTest, SplitModeEmitsTaggedTrains) {
   ASSERT_GE(sink.packets.size(), 4u);
   EXPECT_FALSE(sink.packets[0].ap_tag);
   EXPECT_TRUE(sink.packets[3].ap_tag);
+}
+
+// ---------------------------------------------------------------------
+// Closed-form credit catch-up. The per-cycle loops the generator used
+// to run over a skipped gap are the references.
+// ---------------------------------------------------------------------
+
+double add_loop(double x, double b, std::uint64_t n) {
+  for (std::uint64_t i = 0; i < n; ++i) x += b;
+  return x;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// 1.m · 2^exp with a random 52-bit fraction whose lowest `clear` bits
+/// are zero. A fraction ending in a 1 followed by t zeros makes b/ulp
+/// end in exactly .5 in the binade t + 1 above b's: a tie.
+double random_mantissa(Rng& rng, int exp, int clear) {
+  const std::uint64_t frac = (rng.next_u64() >> 12) >> clear << clear;
+  return std::ldexp(1.0 + static_cast<double>(frac) * 0x1p-52, exp);
+}
+
+void expect_matches_loop(double x, double b, std::uint64_t n) {
+  const double want = add_loop(x, b, n);
+  const double got = repeated_add(x, b, n);
+  EXPECT_TRUE(same_bits(got, want))
+      << std::hexfloat << "x=" << x << " b=" << b << " n=" << n
+      << ": got " << got << ", loop " << want;
+}
+
+TEST(RepeatedAdd, MatchesLoopBitwiseOnRandomDraws) {
+  Rng rng(0xc0ffee);
+  for (int i = 0; i < 100000; ++i) {
+    double x = 0.0;
+    switch (rng.next_below(5)) {
+      case 0:
+        break;  // x = 0
+      case 1:   // just below a power of two: the first step crosses
+        x = std::nextafter(
+            std::ldexp(1.0, static_cast<int>(rng.next_below(41)) - 20), 0.0);
+        break;
+      case 2:  // generator-like credit
+        x = 512.0 * rng.next_double();
+        break;
+      case 3:
+        x = random_mantissa(rng, static_cast<int>(rng.next_below(101)) - 60,
+                            static_cast<int>(rng.next_below(53)));
+        break;
+      default:  // subnormal
+        x = std::bit_cast<double>(rng.next_u64() >> 12);
+        break;
+    }
+    double b = 0.0;
+    switch (rng.next_below(7)) {
+      case 0:
+        b = 0.01;
+        break;
+      case 1:
+        b = 1.0;
+        break;
+      case 2:
+        b = 1.0 / 3.0;
+        break;
+      case 3:  // full random mantissa: ties just above b's binade
+        b = random_mantissa(rng, static_cast<int>(rng.next_below(45)) - 40, 0);
+        break;
+      case 4:  // short mantissa: ties further up
+        b = random_mantissa(rng, static_cast<int>(rng.next_below(45)) - 40,
+                            static_cast<int>(rng.next_below(53)));
+        break;
+      case 5:  // subnormal rate
+        b = std::bit_cast<double>(1 + (rng.next_u64() >> 12));
+        break;
+      default:
+        break;  // b = 0
+    }
+    // Mostly short gaps, one in a thousand up to 10^6 cycles.
+    const std::uint64_t n =
+        rng.next_below(1000) == 0
+            ? rng.next_below(1000001)
+            : rng.next_below(std::uint64_t{1} << rng.next_below(12));
+    expect_matches_loop(x, b, n);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(RepeatedAdd, MatchesLoopOnLongGapsAndTies) {
+  const double subnormal_min = std::bit_cast<double>(std::uint64_t{1});
+  for (const double b : {0.01, 1.0, 1.0 / 3.0, subnormal_min, 1e-20}) {
+    expect_matches_loop(0.0, b, 1000000);
+    expect_matches_loop(std::nextafter(64.0, 0.0), b, 1000000);
+  }
+  // In [1, 2) the ulp u is 2^-52. b = 2.5u and 3.5u tie on every step,
+  // from an even X (x = 1) and an odd one (x = 1 + u); b = 0.5u rounds
+  // to even, so x = 1 stays put and x = 1 + u moves once.
+  const double u = 0x1p-52;
+  for (const double b : {2.5 * u, 3.5 * u, 0.5 * u}) {
+    for (const double x : {1.0, 1.0 + u}) expect_matches_loop(x, b, 100000);
+  }
+}
+
+TEST(OpenCyclesBefore, MatchesBruteForceGateCount) {
+  std::vector<CoreSpec> specs(2);
+  specs[1].pattern = TrafficPattern::kHotspot;
+  const std::pair<Cycle, Cycle> bursts[] = {{0, 0}, {0, 5},   {5, 0},
+                                            {3, 7}, {1, 1},   {400, 1200}};
+  for (const auto& [on, off] : bursts) {
+    CoreSpec& s = specs.emplace_back();
+    s.pattern = TrafficPattern::kBursty;
+    s.burst_on_cycles = on;
+    s.burst_off_cycles = off;
+  }
+  // Fractions 0 and 1, active windows of 2.1 and 123.4 cycles, and a
+  // fraction above 1 (no scenario loads it; the struct allows it).
+  const std::pair<Cycle, double> frames[] = {
+      {0, 0.5}, {10, 0.0}, {10, 1.0}, {7, 0.3}, {1000, 0.1234}, {10, 1.5}};
+  for (const auto& [period, fraction] : frames) {
+    CoreSpec& s = specs.emplace_back();
+    s.pattern = TrafficPattern::kFramePeriodic;
+    s.frame_period = period;
+    s.frame_active_fraction = fraction;
+  }
+  for (const CoreSpec& s : specs) {
+    // From cycle 0, and from far out where the periods no longer align.
+    for (const Cycle base : {Cycle{0}, (Cycle{1} << 40) + 12345}) {
+      const Cycle at_base = open_cycles_before(s, base);
+      Cycle open = 0;
+      for (Cycle c = base; c <= base + 5000; ++c) {
+        ASSERT_EQ(open_cycles_before(s, c) - at_base, open)
+            << to_string(s.pattern) << " on=" << s.burst_on_cycles
+            << " off=" << s.burst_off_cycles << " period=" << s.frame_period
+            << " fraction=" << s.frame_active_fraction << " c=" << c;
+        open += pattern_gate_open(s, c) ? 1 : 0;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
