@@ -1,11 +1,9 @@
 /// \file sim_throughput.cpp
 /// End-to-end simulator throughput (simulated cycles per wall second)
-/// per design point, across the three scheduler modes (dense stepping,
-/// idle-cycle fast-forward, event-driven). This is the guard bench for
-/// the scheduler work: on idle-heavy traffic the skip paths must win
-/// big; on saturated traffic fast-forward must cost (almost) nothing —
-/// its horizon scans are pure overhead there — while the event core
-/// must still win by ticking only the components that have work.
+/// per design point, in both scheduler modes (dense stepping, and the
+/// event-driven core). This is the guard bench for the scheduler work:
+/// on idle-heavy traffic the event core must win big; on saturated
+/// traffic its dense fallback must keep it level with dense stepping.
 ///
 /// Default mode is a google-benchmark driver (cycles/sec appears as
 /// items_per_second). `--json [path]` instead times each point once and
@@ -190,12 +188,11 @@ void BM_Throughput(benchmark::State& state, Point point,
 
 struct PointRates {
   double dense = 0.0;
-  double fast = 0.0;
   double event = 0.0;
 };
 
-/// Time one point in all three scheduler modes with the mode reps
-/// interleaved (dense, ff, event, dense, ff, event, ...): on a shared
+/// Time one point in both scheduler modes with the mode reps
+/// interleaved (dense, event, dense, event, ...): on a shared
 /// machine noise is time-correlated, and interleaving spreads every
 /// mode across the same measurement window so the recorded *ratios*
 /// stay honest even when absolute throughput wobbles. One warmup run
@@ -205,12 +202,11 @@ struct PointRates {
 PointRates measure_point(const Point& p) {
   using clock = std::chrono::steady_clock;
   constexpr core::SchedMode kModes[] = {core::SchedMode::kDense,
-                                        core::SchedMode::kFastForward,
                                         core::SchedMode::kEvent};
   for (const auto mode : kModes) run_point(p, mode);
-  double best[3] = {0.0, 0.0, 0.0};
+  double best[2] = {0.0, 0.0};
   for (int rep = 0; rep < 7; ++rep) {
-    for (int m = 0; m < 3; ++m) {
+    for (int m = 0; m < 2; ++m) {
       const auto t0 = clock::now();
       std::uint64_t cycles = 0;
       for (int r = 0; r < 2; ++r) cycles += run_point(p, kModes[m]);
@@ -221,7 +217,7 @@ PointRates measure_point(const Point& p) {
       }
     }
   }
-  return {best[0], best[1], best[2]};
+  return {best[0], best[1]};
 }
 
 int write_json(const std::string& path) {
@@ -234,29 +230,22 @@ int write_json(const std::string& path) {
   std::fprintf(f, "  \"unit\": \"simulated cycles per wall second\",\n");
   std::fprintf(f,
                "  \"note\": \"mode reps interleaved, best of 7 samples; "
-               "saturated-point ratios within ~4%% of 1.0 are the "
-               "reference machine's noise floor\",\n");
+               "compare the modes within one recording: absolute rates "
+               "move with host load between recordings\",\n");
   std::fprintf(f, "  \"points\": [\n");
   const std::vector<Point> pts = points();
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const PointRates rates = measure_point(pts[i]);
     const double dense = rates.dense;
-    const double skip = rates.fast;
     const double event = rates.event;
+    const double speedup = dense > 0.0 ? event / dense : 0.0;
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"dense\": %.0f, "
-                 "\"fast_forward\": %.0f, \"event\": %.0f, "
-                 "\"speedup\": %.3f, \"speedup_event\": %.3f}%s\n",
-                 pts[i].name.c_str(), dense, skip, event,
-                 dense > 0.0 ? skip / dense : 0.0,
-                 dense > 0.0 ? event / dense : 0.0,
+                 "\"event\": %.0f, \"speedup\": %.3f}%s\n",
+                 pts[i].name.c_str(), dense, event, speedup,
                  i + 1 < pts.size() ? "," : "");
-    std::fprintf(stderr,
-                 "%-26s dense %11.0f c/s   ff %11.0f c/s (%.2fx)   "
-                 "event %11.0f c/s (%.2fx)\n",
-                 pts[i].name.c_str(), dense, skip,
-                 dense > 0.0 ? skip / dense : 0.0, event,
-                 dense > 0.0 ? event / dense : 0.0);
+    std::fprintf(stderr, "%-26s dense %11.0f c/s   event %11.0f c/s (%.2fx)\n",
+                 pts[i].name.c_str(), dense, event, speedup);
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -275,10 +264,6 @@ int main(int argc, char** argv) {
   for (const Point& p : points()) {
     benchmark::RegisterBenchmark((p.name + "/dense").c_str(), BM_Throughput,
                                  p, core::SchedMode::kDense)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark((p.name + "/fast_forward").c_str(),
-                                 BM_Throughput, p,
-                                 core::SchedMode::kFastForward)
         ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark((p.name + "/event").c_str(), BM_Throughput,
                                  p, core::SchedMode::kEvent)

@@ -27,7 +27,7 @@ struct CoreMetrics {
 
 /// Fault-injection activity and impact (src/fault/). All zero on a
 /// fault-free run. Like every other Metrics field, bit-identical
-/// across the three scheduler modes.
+/// across both scheduler modes.
 struct FaultMetrics {
   std::uint64_t dead_link_activations = 0;
   std::uint64_t degraded_link_activations = 0;

@@ -114,7 +114,9 @@ Simulator::Simulator(const SystemConfig& cfg)
     : cfg_(cfg),
       app_(cfg.custom_app ? *cfg.custom_app
                           : traffic::build_application(cfg.app)) {
-  sched_ = cfg_.resolved_sched();
+  // An audited run steps densely: the audit brackets every component's
+  // tick, and event mode would tick only the due ones.
+  sched_ = cfg_.audit_horizons ? SchedMode::kDense : cfg_.sched;
   // --- mesh preset: re-tile the application onto a WxH mesh ---
   if (!cfg.mesh_preset.empty()) {
     std::uint32_t w = 0, h = 0;
@@ -693,7 +695,7 @@ void Simulator::check_watchdog() {
   if (cfg_.watchdog_cycles == 0) return;
   const std::uint64_t token = progress_token();
   // The token comparison (not "which cycle did work happen") is what
-  // keeps the skipping schedulers honest: a skipped-over progress burst
+  // keeps the event scheduler honest: a skipped-over progress burst
   // still changes the token, so the first executed cycle afterwards
   // resets the timer instead of firing spuriously. The watchdog thus
   // fires within [N, 2N] cycles of a genuine stall, in every mode.
@@ -783,8 +785,8 @@ void Simulator::step_audited() {
   // Same cycle body as step(), but each component's tick is bracketed
   // by its own horizon and state fingerprint: a component whose visible
   // state changed at now_ after reporting next_event > now_ violated
-  // the contract (the fast-forward and event schedulers would have let
-  // it sleep through this cycle and silently diverge from dense).
+  // the contract (the event scheduler would have let it sleep through
+  // this cycle and silently diverge from dense).
   // Fingerprints are captured immediately before each component's own
   // tick, so mutations caused by earlier components this cycle (a
   // delivery landing in a router's buffer) are not misattributed.
@@ -836,67 +838,15 @@ void Simulator::step_audited() {
   }
 }
 
-void Simulator::fast_forward(Cycle limit) {
-  if (sched_ != SchedMode::kFastForward) return;
-  // Attempt backoff — the fix for fast-forward running SLOWER than
-  // dense on saturated workloads: with the mesh saturated, every
-  // attempt pays a full all-component horizon scan only to find some
-  // component busy. After a fruitless attempt (advance <= 1 cycle),
-  // skip the next `penalty` attempts, doubling the penalty up to 64;
-  // any real jump resets it. Jumps are optional under the next_event
-  // contract, so skipped attempts never change results — they only
-  // delay the next jump by at most 64 dense cycles after an idle
-  // pocket opens, while capping scan overhead at a vanishing fraction
-  // of saturated-phase runtime.
-  if (ff_backoff_ > 0) {
-    --ff_backoff_;
-    return;
-  }
-  const Cycle before = now_;
-  try_fast_forward(limit);
-  if (now_ >= before + 2) {
-    ff_penalty_ = 0;
-  } else {
-    ff_penalty_ = ff_penalty_ == 0 ? 1 : std::min<Cycle>(ff_penalty_ * 2, 64);
-    ff_backoff_ = ff_penalty_;
-  }
-}
-
-void Simulator::try_fast_forward(Cycle limit) {
+bool Simulator::idle_gap_ahead() const {
   // Horizons are lower bounds on the next state change; any component
-  // with work this cycle returns now_ and vetoes the jump.
-  Cycle h = kNeverCycle;
-  for (const auto& sub : subsystems_) {
-    h = std::min(h, sub->next_event(now_));
-    if (h <= now_) return;
+  // with work this cycle returns now_ and vetoes the gap.
+  const auto n = static_cast<EventQueue::ComponentId>(num_components());
+  for (EventQueue::ComponentId id = 0; id < n; ++id) {
+    if (!response_path_ && id == response_id()) continue;
+    if (horizon_of(id, now_) <= now_) return false;
   }
-  h = std::min(h, network_->next_event(now_));
-  if (h <= now_) return;
-  if (response_path_) {
-    h = std::min(h, response_path_->next_event(now_));
-    if (h <= now_) return;
-  }
-  for (const auto& gen : generators_) {
-    h = std::min(h, gen->next_event(now_));
-    if (h <= now_) return;
-  }
-  // Never jump over a phase boundary: begin/end_measurement must take
-  // their stat snapshots on the exact cycle dense stepping would. The
-  // warmup clamp includes the boundary cycle itself: the clock can sit
-  // on warmup_cycles before the step that begins the measurement. The
-  // same goes for fault edges (they mutate component state) and the
-  // watchdog deadline (the stalled cycle must execute to be observed).
-  Cycle cap = limit;
-  if (now_ <= cfg_.warmup_cycles) cap = std::min(cap, cfg_.warmup_cycles);
-  const Cycle measure_end = cfg_.warmup_cycles + cfg_.sim_cycles;
-  if (now_ < measure_end) cap = std::min(cap, measure_end);
-  cap = std::min(cap, next_fault_edge_);
-  if (cfg_.watchdog_cycles > 0) {
-    cap = std::min(cap, watchdog_progress_at_ + cfg_.watchdog_cycles);
-  }
-  if (cap <= now_) return;  // a clamp already passed (stale watchdog
-                            // sample) — stay dense until it re-samples
-  now_ = std::min(h, cap);  // h == kNeverCycle jumps straight to cap
+  return true;
 }
 
 void Simulator::prime_event_queue() {
@@ -967,17 +917,12 @@ void Simulator::wake_memory(NodeId mem_node, Cycle at) {
 }
 
 void Simulator::step_event() {
-  if (burst_remaining_ > 0) {
+  if (dense_fallback_) {
     // Saturation fallback (see kBurstStreak): plain dense cycles, heap
     // untouched (wakers may still lower stale deadlines — harmless,
-    // the re-prime below rebuilds the heap from scratch). Dense cycles
-    // are trivially identical to dense stepping, and re-priming arms
-    // every component at now_ exactly like the initial prime, so the
-    // event loop resumes on a correct schedule.
-    --burst_remaining_;
+    // the re-prime at exit rebuilds the heap from scratch).
     step();
     ++queue_.counters().executed_cycles;
-    if (burst_remaining_ == 0) prime_event_queue();
     return;
   }
 
@@ -1013,11 +958,36 @@ void Simulator::step_event() {
 }
 
 void Simulator::advance_event(Cycle limit) {
-  if (burst_remaining_ > 0) return;  // mid-burst: dense, no jumps
+  if (dense_fallback_) {
+    // The fallback ends at the first idle gap. Every probe pays a full
+    // all-component horizon scan, so after a fruitless one skip the
+    // next `penalty` probes, doubling it up to 64. Jumps are optional
+    // under the next_event contract, so the backoff never changes
+    // results: it only delays the exit by at most 64 dense cycles once
+    // a gap opens, while capping scan overhead at a vanishing fraction
+    // of saturated runtime.
+    if (probe_backoff_ > 0) {
+      --probe_backoff_;
+    } else if (!idle_gap_ahead()) {
+      probe_penalty_ =
+          probe_penalty_ == 0 ? 1 : std::min<Cycle>(probe_penalty_ * 2, 64);
+      probe_backoff_ = probe_penalty_;
+    } else {
+      // Re-priming arms every component at now_ exactly like the
+      // initial prime, so the event loop resumes on a correct schedule
+      // and jumps the gap after one heap cycle.
+      probe_penalty_ = 0;
+      dense_fallback_ = false;
+      prime_event_queue();
+    }
+    return;
+  }
   // Never jump over a phase boundary: begin/end_measurement must take
-  // their stat snapshots on the exact cycle dense stepping would. Fault
-  // edges and the watchdog deadline clamp for the same reason as in
-  // try_fast_forward.
+  // their stat snapshots on the exact cycle dense stepping would. The
+  // warmup clamp includes the boundary cycle itself: the clock can sit
+  // on warmup_cycles before the step that begins the measurement. The
+  // same goes for fault edges (they mutate component state) and the
+  // watchdog deadline (the stalled cycle must execute to be observed).
   Cycle cap = limit;
   if (now_ <= cfg_.warmup_cycles) cap = std::min(cap, cfg_.warmup_cycles);
   const Cycle measure_end = cfg_.warmup_cycles + cfg_.sim_cycles;
@@ -1031,14 +1001,12 @@ void Simulator::advance_event(Cycle limit) {
     queue_.counters().skipped_cycles += target - now_;
     now_ = target;
     dense_streak_ = 0;
-    burst_len_ = kBurstMin;
   } else if (++dense_streak_ >= kBurstStreak) {
-    // Saturated: every recent cycle had due work. Drop to dense bursts
-    // and grow them while saturation persists, so heap overhead decays
-    // to nothing and event-mode throughput converges to dense.
+    // Saturated: every recent cycle had due work. Drop to dense cycles
+    // until the next idle gap, so heap overhead decays to nothing and
+    // event-mode throughput converges to dense.
     dense_streak_ = 0;
-    burst_remaining_ = burst_len_;
-    burst_len_ = std::min(burst_len_ * 2, kBurstMax);
+    dense_fallback_ = true;
   }
 }
 
@@ -1065,13 +1033,6 @@ void Simulator::drain() {
   while (!parents_.empty() && now_ < drain_end) {
     step();
     ++drained_cycles_;
-    // Only jump while requests remain outstanding: dense stepping stops
-    // the moment the last parent completes, and the final now_ (and the
-    // drained-cycle count) must match it exactly.
-    if (parents_.empty() || now_ >= drain_end) break;
-    const Cycle before = now_;
-    fast_forward(drain_end);
-    drained_cycles_ += now_ - before;
   }
 }
 
@@ -1084,10 +1045,7 @@ Metrics Simulator::run() {
       if (now_ < total) advance_event(total);
     }
   } else {
-    while (now_ < total) {
-      step();
-      if (now_ < total) fast_forward(total);
-    }
+    while (now_ < total) step();
   }
   drain();
   // One finish() for every sink: the counter sink closes open bank

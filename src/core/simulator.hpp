@@ -51,15 +51,6 @@ class Simulator : private noc::NetworkWaker {
   /// Step a single cycle (exposed for integration tests).
   void step();
 
-  /// Fast-forward: if every component reports its next event strictly
-  /// after `now()`, jump the clock to the earliest such cycle, clamped
-  /// to `limit` and to the warmup/measurement boundaries (those cycles
-  /// must execute densely so the stat snapshots land exactly where
-  /// dense stepping puts them). No-op unless the run resolved to
-  /// SchedMode::kFastForward, when a backoff window is active (see the
-  /// implementation), or when any component still has work this cycle.
-  void fast_forward(Cycle limit);
-
   /// Close the measurement window (if still open) and simulate up to
   /// cfg.drain_cycle_limit further cycles with request generation
   /// stopped, so requests created inside the window can complete and be
@@ -95,8 +86,8 @@ class Simulator : private noc::NetworkWaker {
   /// Snapshot metrics accumulated so far (measurement window only).
   [[nodiscard]] Metrics metrics() const;
 
-  /// The scheduler mode this run resolved to (SystemConfig::sched, or
-  /// the legacy fast_forward bool when unset).
+  /// The scheduler mode this run uses: SystemConfig::sched, except that
+  /// an audited run (SystemConfig::audit_horizons) always steps densely.
   [[nodiscard]] SchedMode sched() const { return sched_; }
 
   /// Event-scheduler behaviour counters (wakeups, re-keys, executed vs
@@ -213,16 +204,18 @@ class Simulator : private noc::NetworkWaker {
   /// wraps each component's tick in a state fingerprint and aborts when
   /// a component acted at `now_` after reporting a horizon beyond it.
   void step_audited();
-  /// The actual fast-forward scan + jump; fast_forward() adds backoff.
-  void try_fast_forward(Cycle limit);
+  /// The global next_event scan: true when every component's horizon
+  /// lies beyond now_, i.e. the cycle about to run is skippable. The
+  /// saturation fallback's exit test.
+  [[nodiscard]] bool idle_gap_ahead() const;
 
   /// Apply every fault-schedule edge with `at <= now_` to the live
   /// components (network link/router state, device timing). Returns true
   /// when at least one edge was applied — the event loop re-primes then,
   /// because an edge invalidates sleeping horizons (rerouted packets
   /// become eligible, slow-router gating changes). Fault edges are
-  /// executed-cycle work: try_fast_forward and advance_event clamp their
-  /// jumps to next_fault_edge_ so no mode can skip one.
+  /// executed-cycle work: advance_event clamps its jumps to
+  /// next_fault_edge_ so no edge is skipped.
   bool apply_fault_edges();
   /// Forward-progress sum over everything that can move work: request
   /// mesh (injections + hops + ejections), response mesh, and per-channel
@@ -298,7 +291,7 @@ class Simulator : private noc::NetworkWaker {
 
   // Fault injection (src/fault/): the resolved schedule, a cursor over
   // its edge list, and the accumulators behind Metrics::fault. The
-  // next-edge cycle doubles as a jump clamp in both skipping schedulers.
+  // next-edge cycle doubles as a clamp on the event scheduler's jumps.
   fault::FaultSchedule fault_schedule_;
   std::size_t fault_cursor_ = 0;
   Cycle next_fault_edge_ = kNeverCycle;
@@ -320,22 +313,20 @@ class Simulator : private noc::NetworkWaker {
   bool primed_ = false;
   /// Saturation fallback: after `kBurstStreak` consecutive executed
   /// cycles with no skippable gap, the event loop stops paying heap
-  /// overhead and runs plain dense cycles for a burst (exponentially
-  /// grown up to kBurstMax), then re-primes the heap. This is how the
+  /// overhead and runs plain dense cycles until idle_gap_ahead() finds
+  /// the next cycle skippable, then re-primes the heap. This is how the
   /// event scheduler subsumes dense stepping as its degenerate case:
-  /// on fully saturated traffic it converges to dense-loop cost instead
-  /// of losing to per-component pop/reschedule churn.
+  /// on saturated traffic it converges to dense-loop cost instead of
+  /// losing to per-component pop/reschedule churn, and it still skips
+  /// every idle gap that follows.
   static constexpr Cycle kBurstStreak = 32;
-  static constexpr Cycle kBurstMin = 4096;
-  static constexpr Cycle kBurstMax = 65536;
-  Cycle burst_remaining_ = 0;
+  bool dense_fallback_ = false;
   Cycle dense_streak_ = 0;
-  Cycle burst_len_ = kBurstMin;
-  /// Fast-forward attempt backoff (see fast_forward()): remaining
-  /// attempts to skip, and the current penalty (doubles on consecutive
-  /// fruitless attempts, resets on a real jump).
-  Cycle ff_backoff_ = 0;
-  Cycle ff_penalty_ = 0;
+  /// Exit-probe backoff: fallback cycles left before the next probe,
+  /// and the current penalty (doubles on each fruitless probe up to
+  /// 64, resets at exit).
+  Cycle probe_backoff_ = 0;
+  Cycle probe_penalty_ = 0;
   bool measuring_ = false;
   Cycle measure_start_ = 0;
   bool measurement_ended_ = false;

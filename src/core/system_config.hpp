@@ -119,19 +119,17 @@ inline constexpr TokenSet<EngineKind> kEngineTokens{"engine",
 }
 
 /// Execution scheduling mode: how the simulator decides which cycles
-/// and components to tick. All three modes produce bit-identical
-/// Metrics (tests/fast_forward_test.cpp, tests/event_sched_test.cpp
-/// and the differential fuzz harness enforce it); they differ only in
-/// wall-clock speed.
+/// and components to tick. Both modes produce bit-identical Metrics
+/// (tests/event_sched_test.cpp and the differential fuzz harness
+/// enforce it); they differ only in wall-clock speed.
 enum class SchedMode : std::uint8_t {
-  kDense,        ///< tick every component every cycle (the reference)
-  kFastForward,  ///< dense ticking, but jump globally-idle gaps
-  kEvent,        ///< per-component wakeups via the EventQueue heap
+  kDense,  ///< tick every component every cycle (the reference)
+  kEvent,  ///< per-component wakeups via the EventQueue heap, with a
+           ///< dense fallback while every cycle has work
 };
 
 inline constexpr Token<SchedMode> kSchedTokenList[] = {
     {"dense", SchedMode::kDense},
-    {"fast_forward", SchedMode::kFastForward},
     {"event", SchedMode::kEvent},
 };
 inline constexpr TokenSet<SchedMode> kSchedTokens{"sched mode",
@@ -218,21 +216,14 @@ struct SystemConfig {
   /// for a fixed (config, seed) pair.
   std::uint64_t seed = 42;
 
-  /// Idle-cycle fast-forward: when every component reports its next
-  /// possible state change is in the future, jump the clock straight to
-  /// the earliest such cycle instead of executing no-op ticks. The
-  /// skipped cycles are replayed exactly by the components that carry
-  /// per-cycle state (traffic credit, starvation counters), so results
-  /// are bit-identical to dense stepping — see DESIGN.md, "The
-  /// next_event contract". Off = always step cycle by cycle.
-  bool fast_forward = true;
-
-  /// Scheduling mode: dense, fast_forward or event (see SchedMode).
-  /// Unset defers to the legacy `fast_forward` bool above, so existing
-  /// configs keep their meaning; set it to SchedMode::kEvent for the
-  /// per-component event-driven core (fastest on saturated traffic,
-  /// still bit-identical). Resolve with resolved_sched().
-  std::optional<SchedMode> sched;
+  /// Scheduling mode (see SchedMode). The event core wakes each
+  /// component only at its next_event horizon and jumps the clock over
+  /// cycles where none is due; the components that carry per-cycle
+  /// state (traffic credit, starvation counters) replay skipped cycles
+  /// exactly, so results are bit-identical to dense stepping — see
+  /// DESIGN.md, "The next_event contract". Dense ticks every component
+  /// every cycle: the reference, and what audit_horizons runs.
+  SchedMode sched = SchedMode::kEvent;
 
   /// Audit the next_event contract while stepping: before each
   /// component's tick, capture its fresh horizon and a fingerprint of
@@ -241,9 +232,9 @@ struct SystemConfig {
   /// abort with the offender named. Catches stale/too-late horizons —
   /// the bugs that silently corrupt event-driven runs — at their
   /// source. Costs a few percent; meant for tests and triage runs, not
-  /// measurement. Applies to dense and fast_forward stepping (event
-  /// mode *consumes* horizons; auditing needs the dense reference).
-  /// In every mode it also re-derives each replayed router arbitration
+  /// measurement. An audited run steps densely whatever `sched` says
+  /// (event mode *consumes* horizons; auditing needs the dense
+  /// reference). It also re-derives each replayed router arbitration
   /// and each skipped downstream probe (DESIGN.md "Arbitration memo").
   bool audit_horizons = false;
 
@@ -307,8 +298,7 @@ struct SystemConfig {
 
   /// When non-empty, replace the random traffic generators with a
   /// trace replay: each core re-emits its slice of this trace file at
-  /// the recorded cycles (open-loop, deterministic, fast-forward
-  /// aware). The application still supplies the mesh and core
+  /// the recorded cycles (open-loop, deterministic, skip aware). The application still supplies the mesh and core
   /// placement; records naming a nonexistent core are a load error.
   std::string replay_trace_path;
 
@@ -371,8 +361,8 @@ struct SystemConfig {
   /// Explicit fault-injection specs (src/fault/): each entry names a
   /// fault kind, its activation cycle and an optional end. Applied at
   /// fixed cycles in every sched mode (activation edges become event
-  /// horizons), so faulted runs stay bit-identical across dense /
-  /// fast_forward / event. See docs/RESILIENCE.md.
+  /// horizons), so faulted runs stay bit-identical across dense and
+  /// event. See docs/RESILIENCE.md.
   std::vector<fault::FaultSpec> faults;
 
   /// Randomized fault schedule (the fuzz harness's fault leg): inject
@@ -405,13 +395,6 @@ struct SystemConfig {
   /// would idle half of every data slot (the paper's explanation of why
   /// SAGM gains less on DDR III).
   std::uint32_t split_beats = 0;
-
-  /// The scheduling mode this config actually runs: `sched` when set,
-  /// else the legacy `fast_forward` bool.
-  [[nodiscard]] SchedMode resolved_sched() const {
-    if (sched) return *sched;
-    return fast_forward ? SchedMode::kFastForward : SchedMode::kDense;
-  }
 
   /// The arbiter engine controller `channel` actually runs: its
   /// per-controller override when set, else the global `engine` knob,

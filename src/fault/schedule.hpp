@@ -3,7 +3,7 @@
 /// deterministically drawn random faults, flattened into a sorted edge
 /// list the simulator walks as `now` advances (every edge is also a
 /// `next_event` horizon, which is how faults stay bitwise-identical
-/// across the dense / fast_forward / event schedulers), plus per-channel
+/// across the dense and event schedulers), plus per-channel
 /// SDRAM timelines the TimingOracle folds into its constraint checks so
 /// it verifies the *faulted* timing, not the nominal one.
 ///

@@ -25,10 +25,9 @@ void StreamlinedSubsystem::deliver(noc::Packet&& pkt, Cycle now) {
   // sleeps (its next wakeup is the packet's tail arrival, later than
   // now). Dense stepping would have ticked it on every cycle since
   // last_tick_ and counted each as starved (engine idle, input empty
-  // right up to this push); credit them here. Dense and fast-forward
-  // runs make this a no-op: dense ticked this very cycle
-  // (last_tick_ == now), and fast-forward only jumps when no packet is
-  // in flight toward the memory port.
+  // right up to this push); credit them here. Dense stepping (and the
+  // event core's dense fallback) makes this a no-op: it ticked this
+  // very cycle (last_tick_ == now).
   if (engine_.idle() && input_.empty() && last_tick_ != kNeverCycle &&
       now > last_tick_) {
     starved_ += now - last_tick_;
@@ -40,10 +39,11 @@ void StreamlinedSubsystem::deliver(noc::Packet&& pkt, Cycle now) {
 }
 
 void StreamlinedSubsystem::tick(Cycle now) {
-  // Cycles skipped by the fast-forward scheduler: during a gap nothing
-  // is delivered or admitted, so "engine idle and input empty" held for
-  // every skipped cycle exactly when it holds right now, before this
-  // tick's admissions. Dense stepping has a zero gap and is unaffected.
+  // Cycles the event scheduler skipped since last_tick_: nothing was
+  // admitted, and a delivery in the gap moves last_tick_ (deliver()),
+  // so "engine idle and input empty" held for every skipped cycle
+  // exactly when it holds right now, before this tick's admissions.
+  // Dense stepping has a zero gap and is unaffected.
   if (last_tick_ != kNeverCycle && now > last_tick_ + 1 && engine_.idle() &&
       input_.empty()) {
     starved_ += now - last_tick_ - 1;

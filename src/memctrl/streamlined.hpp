@@ -45,7 +45,7 @@ class StreamlinedSubsystem final : public MemorySubsystem {
   }
   [[nodiscard]] Cycle next_event(Cycle now) const override;
   /// Cycles the engine sat empty with nothing buffered (network-starved).
-  /// Gap-aware: cycles the fast-forward scheduler skips while idle and
+  /// Gap-aware: cycles the event scheduler skips while idle and
   /// empty are credited on the next tick, so the counter matches dense
   /// stepping exactly.
   [[nodiscard]] std::uint64_t starved_cycles() const { return starved_; }

@@ -233,8 +233,8 @@ void Network::tick_router(NodeId id, Cycle now) {
   }
 
   // Slow-router fault: arbitration only on anchor-aligned cycles. The
-  // gate lives here (not in the caller) so dense, fast-forward and
-  // event scheduling all skip the same cycles.
+  // gate lives here (not in the caller) so dense and event scheduling
+  // skip the same cycles.
   const std::uint32_t period = slow_period_[id];
   if (period > 1 && (now - slow_anchor_[id]) % period != 0) return;
 

@@ -45,7 +45,7 @@ class PacketSink {
 /// at which the receiver can first observe the handoff: the cycle the
 /// head lands for router-to-router moves and injections, the tail
 /// arrival for memory-sink deliveries. Unset (the default) in dense
-/// and fast-forward runs — the null check is the only cost there.
+/// runs — the null check is the only cost there.
 class NetworkWaker {
  public:
   virtual ~NetworkWaker() = default;
@@ -131,7 +131,7 @@ class Network {
   }
 
   /// Attach the event-driven scheduler's dirty-marking hook (nullptr
-  /// detaches; dense and fast-forward runs leave it unset).
+  /// detaches; dense runs leave it unset).
   void set_waker(NetworkWaker* waker) { waker_ = waker; }
 
   /// Horizon-audit mode for every router's arbitration memo and

@@ -15,7 +15,7 @@ namespace {
 
 /// Visitor for core::for_each_comparable_field, recording the first
 /// mismatching field. Doubles are compared bitwise — the determinism
-/// contracts (fast-forward, parallel runner) promise identical
+/// contracts (event scheduler, parallel runner) promise identical
 /// arithmetic, not merely close results. The field list lives with
 /// Metrics itself (a static_assert there fails the build when Metrics
 /// grows a field this comparison would silently skip).
@@ -173,7 +173,7 @@ core::SystemConfig random_config(std::uint64_t seed) {
   // Multi-controller fabrics: a quarter of the configs stripe the
   // address space over 2 or 3 controllers (auto-placed on the mesh
   // perimeter), sometimes with an explicit channel granule and a
-  // per-controller engine override — the three-way scheduler identity
+  // per-controller engine override — the dense == event identity
   // and the per-controller checkers must hold there too.
   if (rng.chance(0.25)) {
     cfg.num_controllers = 2 + static_cast<std::uint32_t>(rng.next_below(2));
@@ -219,45 +219,36 @@ std::array<core::DesignPoint, 4> fuzz_design_points(std::uint64_t seed) {
 }
 
 std::string run_differential(const core::SystemConfig& cfg) {
-  // Three-way scheduler identity: dense stepping is the reference,
-  // fast-forward and the event-driven core must match it bitwise.
+  // Scheduler identity: dense stepping is the reference, and the
+  // event-driven core must match it bitwise.
   core::SystemConfig dense = cfg;
-  dense.fast_forward = false;
   dense.sched = core::SchedMode::kDense;
-  core::SystemConfig fast = cfg;
-  fast.fast_forward = true;
-  fast.sched = core::SchedMode::kFastForward;
   core::SystemConfig event = cfg;
   event.sched = core::SchedMode::kEvent;
 
   const core::Metrics serial_dense = core::run_simulation(dense);
-  const core::Metrics serial_fast = core::run_simulation(fast);
   const core::Metrics serial_event = core::run_simulation(event);
 
-  std::string err = compare_metrics("fast-forward vs dense", serial_fast,
-                                    serial_dense);
-  if (!err.empty()) return err;
-  err = compare_metrics("event vs dense", serial_event, serial_dense);
+  std::string err =
+      compare_metrics("event vs dense", serial_event, serial_dense);
   if (!err.empty()) return err;
 
   ExperimentRunner pool(2u);
-  const auto parallel = pool.run_metrics({dense, fast, event});
+  const auto parallel = pool.run_metrics({dense, event});
   err = compare_metrics("runner[dense] vs serial", parallel[0], serial_dense);
   if (!err.empty()) return err;
-  err = compare_metrics("runner[fast] vs serial", parallel[1], serial_fast);
-  if (!err.empty()) return err;
-  err = compare_metrics("runner[event] vs serial", parallel[2], serial_event);
+  err = compare_metrics("runner[event] vs serial", parallel[1], serial_event);
   if (!err.empty()) return err;
 
   // Streaming-submission identity under oversubscription: more workers
   // than jobs AND than cores, pulling from a source and delivering in
   // whatever completion order the scheduler produces. The sink keys
   // results by index, so the stream must still match serial bitwise.
-  const core::SystemConfig stream_cfgs[] = {dense, fast, event};
-  core::Metrics streamed[3];
+  const core::SystemConfig stream_cfgs[] = {dense, event};
+  core::Metrics streamed[2];
   std::size_t next = 0;
   const JobSource source = [&]() -> std::optional<StreamJob> {
-    if (next >= 3) return std::nullopt;
+    if (next >= 2) return std::nullopt;
     const std::size_t i = next++;
     return StreamJob{i, stream_cfgs[i]};
   };
@@ -268,9 +259,7 @@ std::string run_differential(const core::SystemConfig& cfg) {
   oversub.run_stream(source, sink);
   err = compare_metrics("stream[dense] vs serial", streamed[0], serial_dense);
   if (!err.empty()) return err;
-  err = compare_metrics("stream[fast] vs serial", streamed[1], serial_fast);
-  if (!err.empty()) return err;
-  err = compare_metrics("stream[event] vs serial", streamed[2], serial_event);
+  err = compare_metrics("stream[event] vs serial", streamed[1], serial_event);
   if (!err.empty()) return err;
 
   return sanity_check(cfg, serial_dense);

@@ -1,10 +1,10 @@
 /// \file fuzz.hpp
 /// Randomized differential testing: generate random-but-valid
-/// SystemConfigs and run each one three ways — dense serial stepping,
-/// idle-cycle fast-forward, and through a 2-worker ExperimentRunner —
-/// with the self-checking layer (src/check/) attached. Every execution
-/// mode must produce bit-identical Metrics and pass the checkers; any
-/// divergence is a determinism bug, any checker abort a protocol bug.
+/// SystemConfigs and run each one under both schedulers (dense and
+/// event), serially and through ExperimentRunner workers, with the
+/// self-checking layer (src/check/) attached. Every execution must
+/// produce bit-identical Metrics and pass the checkers; any divergence
+/// is a determinism bug, any checker abort a protocol bug.
 /// Consumed by tests/fuzz_sim_test.cpp (fixed default seed in CI) and
 /// bench/fuzz_sweep.cpp (--seed/--runs sweep driver).
 #pragma once
@@ -34,11 +34,12 @@ namespace annoc::runner {
 [[nodiscard]] std::array<core::DesignPoint, 4> fuzz_design_points(
     std::uint64_t seed);
 
-/// Run `cfg` through all three execution modes and cross-check:
-///   1. run_simulation(cfg) and run_simulation(cfg with fast_forward
-///      toggled) must agree on every Metrics field, bitwise;
-///   2. a 2-worker ExperimentRunner over both variants must reproduce
-///      the serial results exactly;
+/// Run `cfg` under both schedulers and cross-check:
+///   1. run_simulation(cfg) with sched = dense and with sched = event
+///      must agree on every Metrics field, bitwise;
+///   2. a 2-worker ExperimentRunner over both variants, and an
+///      oversubscribed streaming runner, must reproduce the serial
+///      results exactly;
 ///   3. every result must satisfy the metrics sanity bounds
 ///      (utilization in [0,1] and <= raw, subpackets >= requests,
 ///      measured window == sim_cycles, accounting identities).
@@ -58,8 +59,8 @@ namespace annoc::runner {
 
 /// Random-fault leg: layer a deterministic random fault schedule
 /// (src/fault/) on top of the seed's derived config and re-run the
-/// full three-way differential. The fault window is squeezed into the
-/// short fuzz run (activations land mid-measurement, alternating
+/// full differential. The fault window is squeezed into the short
+/// fuzz run (activations land mid-measurement, alternating
 /// permanent and transient by seed), the deadlock watchdog is armed,
 /// and check stays on — so a clean return certifies that faulted runs
 /// are bit-identical across sched modes, that the TimingOracle
@@ -71,7 +72,7 @@ namespace annoc::runner {
 /// stream (random_config's draws, and so its pinned seeds, stay put).
 /// A custom 2x2 or 3x3 application whose cores use the random, bursty
 /// or frame pattern at 0.001-0.5 B/cycle, open- or closed-loop, so the
-/// skipping schedulers jump long gated and idle gaps and catch the
+/// event scheduler jumps long gated and idle gaps and catches the
 /// generators' credit up in closed form. Runs are tens of thousands of
 /// cycles to cover several bursts and frames. check is always on.
 [[nodiscard]] core::SystemConfig random_idle_config(std::uint64_t seed);

@@ -383,11 +383,9 @@ inline constexpr KeyInfo kScenarioKeys[] = {
      "Post-window cycles allowed for in-window requests to complete; 0 disables."},
     {"seed", "number|string", "42", seed<&SystemConfig::seed>(),
      "Traffic RNG seed; write seeds above 2^53 as a decimal string."},
-    {"fast_forward", "bool", "true", field<&SystemConfig::fast_forward>(),
-     "Idle-cycle fast-forward; bit-identical to dense stepping, just faster."},
-    {"sched", "string|null", "null",
+    {"sched", "string", "event",
      choice<&SystemConfig::sched, core::kSchedTokens>(),
-     "Scheduler: dense, fast_forward or event (all bit-identical); overrides the fast_forward bool, null keeps its meaning."},
+     "Scheduler: event (wake each component at its next_event horizon, jump idle gaps) or dense (tick everything every cycle, the reference); bit-identical."},
     {"audit_horizons", "bool", "false", field<&SystemConfig::audit_horizons>(),
      "Debug: dense-step under per-component state fingerprints; abort when one acts past its reported next_event horizon, or when a replayed router arbitration differs from a fresh one."},
     {"pct", "number", "4", field<&SystemConfig::pct>(2, 6),

@@ -21,7 +21,7 @@ struct SizeMix {
 /// Synthetic traffic pattern shaping a core's request stream on top of
 /// the base rate/size/locality model (docs/WORKLOADS.md, "Synthetic
 /// patterns"). kRandom is the paper's model and the default; the other
-/// patterns are deterministic overlays so fast-forward stays
+/// patterns are deterministic overlays so the event scheduler stays
 /// bit-identical (gating is a pure function of the cycle number, never
 /// of extra RNG draws).
 enum class TrafficPattern : std::uint8_t {

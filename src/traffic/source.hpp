@@ -31,9 +31,8 @@ class TrafficSource {
 
   /// Generate whatever this cycle calls for and inject backlog
   /// (link/buffer permitting). Called once per executed cycle; whatever
-  /// the cycles a skipping scheduler (fast_forward or event) jumped
-  /// would have accrued must be caught up first, so results stay
-  /// bit-identical to dense stepping.
+  /// the cycles the event scheduler jumped would have accrued must be
+  /// caught up first, so results stay bit-identical to dense stepping.
   virtual void tick(Cycle now, noc::Network& net) = 0;
 
   /// Earliest future cycle (>= now) this source can act — a lower

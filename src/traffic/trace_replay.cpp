@@ -390,9 +390,9 @@ void TraceReplayer::emit_record(const TraceRecord& rec, Cycle now) {
 
 void TraceReplayer::tick(Cycle now, noc::Network& net) {
   // Emit every record due this cycle. next_event() reports the next
-  // record's cycle, so the fast-forward scheduler never jumps past an
+  // record's cycle, so the event scheduler never jumps past an
   // arrival; records therefore come due exactly at their cycle under
-  // both dense and fast-forward execution.
+  // both dense and event execution.
   while (pos_ < records_.size() && records_[pos_].cycle <= now) {
     if (emitting_) {
       emit_record(records_[pos_], now);

@@ -121,7 +121,7 @@ struct ReplayConfig {
 };
 
 /// Traffic source that re-emits a core's slice of a recorded trace at
-/// the recorded cycles. Deterministic (no RNG) and fast-forward-aware:
+/// the recorded cycles. Deterministic (no RNG) and skip-aware:
 /// next_event() reports the next record's cycle, so the scheduler can
 /// jump idle gaps without ever skipping an arrival. Replay is
 /// open-loop — the trace says when requests arrive; backpressure shows

@@ -4,9 +4,12 @@
 ///     schedule/cancel/reschedule/dirty/pop against a reference model,
 ///   - deterministic (deadline, id) tie-breaking,
 ///   - bit-identity of event-mode Metrics against dense stepping across
-///     design points and feature combinations,
+///     design points, generations, seeds, applications and feature
+///     combinations,
 ///   - scheduler-counter sanity (executed + skipped cycles account for
 ///     the whole timeline; wakeups and heap depth bounded),
+///   - the saturation fallback ending at the first idle gap, so a
+///     frame-driven SoC skips the idle part of every frame,
 ///   - warmup / measurement / drain boundary clamping under sched=event,
 ///   - the audit_horizons debug mode (dense stepping under per-component
 ///     state fingerprints, re-derived router arbitrations) staying
@@ -24,6 +27,11 @@
 #include "core/event_queue.hpp"
 #include "core/simulator.hpp"
 #include "metrics_identical.hpp"
+#include "scenario/scenario.hpp"
+
+#ifndef ANNOC_SCENARIO_DIR
+#define ANNOC_SCENARIO_DIR "scenarios"
+#endif
 
 namespace annoc::core {
 namespace {
@@ -161,7 +169,7 @@ TEST(EventQueue, ResetClearsDeadlinesButKeepsCounters) {
   EXPECT_EQ(q.num_components(), 5u);
   EXPECT_EQ(q.deadline_of(0), kNeverCycle);
   // Counters describe the run, not one priming epoch: the simulator
-  // re-primes after every dense burst and the totals must accumulate.
+  // re-primes after every dense fallback and the totals must accumulate.
   EXPECT_EQ(q.counters().schedules, schedules);
   EXPECT_TRUE(q.check_invariants());
 }
@@ -198,6 +206,41 @@ TEST(EventSched, BitIdenticalAcrossDesignPoints) {
     cfg.priority_enabled = true;
     expect_event_identical(cfg, to_string(d));
   }
+}
+
+TEST(EventSched, BitIdenticalAcrossGenerations) {
+  for (const auto gen :
+       {sdram::DdrGeneration::kDdr1, sdram::DdrGeneration::kDdr2,
+        sdram::DdrGeneration::kDdr3}) {
+    SystemConfig cfg = base_config();
+    cfg.design = DesignPoint::kGssSagm;
+    cfg.generation = gen;
+    expect_event_identical(
+        cfg, std::string("gen") + std::to_string(static_cast<int>(gen)));
+  }
+}
+
+TEST(EventSched, BitIdenticalAcrossSeedsAndApps) {
+  for (const std::uint64_t seed : {7ull, 1234ull}) {
+    for (const auto app :
+         {traffic::AppId::kSingleDtv, traffic::AppId::kDualDtv}) {
+      SystemConfig cfg = base_config();
+      cfg.design = DesignPoint::kGss;
+      cfg.app = app;
+      cfg.seed = seed;
+      expect_event_identical(cfg, "seed" + std::to_string(seed) + "/app" +
+                                      std::to_string(static_cast<int>(app)));
+    }
+  }
+}
+
+TEST(EventSched, BitIdenticalWithMixedGssRouters) {
+  // Fig. 8 configuration: GSS only on the routers nearest the memory.
+  SystemConfig cfg = base_config();
+  cfg.design = DesignPoint::kGss;
+  cfg.priority_enabled = true;
+  cfg.num_gss_routers = 2;
+  expect_event_identical(cfg, "mixed_fig8");
 }
 
 TEST(EventSched, BitIdenticalWithResponsePath) {
@@ -250,27 +293,26 @@ TEST(EventSched, BitIdenticalWithTightDrainLimit) {
   expect_event_identical(cfg, "tight_drain");
 }
 
-TEST(EventSched, BitIdenticalAcrossAllThreeModes) {
-  // Three-way: dense == fast_forward == event on one SAGM config.
+TEST(EventSched, DefaultSchedIsEventAndMatchesDense) {
+  // A config that never names a scheduler runs the event core, and
+  // gives dense stepping's Metrics on one SAGM config.
   SystemConfig cfg = base_config();
   cfg.design = DesignPoint::kGssSagm;
   cfg.priority_enabled = true;
+  Simulator by_default(cfg);
+  EXPECT_EQ(by_default.sched(), SchedMode::kEvent);
+  const Metrics event = by_default.run();
+  EXPECT_GT(by_default.sched_counters().executed_cycles, 0u);
   cfg.sched = SchedMode::kDense;
-  const Metrics dense = run_simulation(cfg);
-  cfg.sched = SchedMode::kFastForward;
-  const Metrics fast = run_simulation(cfg);
-  cfg.sched = SchedMode::kEvent;
-  const Metrics event = run_simulation(cfg);
-  expect_metrics_identical(dense, fast, "fast_vs_dense");
-  expect_metrics_identical(dense, event, "event_vs_dense");
+  expect_metrics_identical(run_simulation(cfg), event, "default_vs_dense");
 }
 
-TEST(EventSched, TinyRateCoresBitIdenticalInAllThreeModes) {
+TEST(EventSched, TinyRateCoresBitIdenticalInBothModes) {
   // The schema admits any rate in [0, 1e6]. At 1e-20 B/cycle the
   // emission estimate is ~3e21 cycles away, past every representable
   // cycle; at the smallest subnormal it is infinite, and the credit
   // stays subnormal. next_event must clamp both (the unclamped cast is
-  // undefined behaviour) and every mode must still agree.
+  // undefined behaviour) and both modes must still agree.
   traffic::Application app;
   app.name = "tiny-rates";
   app.noc.width = 2;
@@ -292,11 +334,8 @@ TEST(EventSched, TinyRateCoresBitIdenticalInAllThreeModes) {
   cfg.sim_cycles = 20000;
   cfg.sched = SchedMode::kDense;
   const Metrics dense = run_simulation(cfg);
-  cfg.sched = SchedMode::kFastForward;
-  const Metrics fast = run_simulation(cfg);
   cfg.sched = SchedMode::kEvent;
   const Metrics event = run_simulation(cfg);
-  expect_metrics_identical(dense, fast, "fast_vs_dense");
   expect_metrics_identical(dense, event, "event_vs_dense");
   EXPECT_GT(dense.completed_requests, 0u);
 }
@@ -314,7 +353,7 @@ TEST(EventSched, CountersAccountForTheWholeTimeline) {
 
   const obs::SchedCounters& c = sim.sched_counters();
   // Every cycle between 0 and the final clock was either executed by
-  // step_event (dense bursts included) or jumped by advance_event.
+  // step_event (dense fallback included) or jumped by advance_event.
   EXPECT_EQ(c.executed_cycles + c.skipped_cycles, sim.now());
   EXPECT_EQ(sim.now(),
             cfg.warmup_cycles + cfg.sim_cycles + m.drained_cycles);
@@ -333,12 +372,12 @@ TEST(EventSched, CountersAccountForTheWholeTimeline) {
 TEST(EventSched, CountersStayZeroOutsideEventMode) {
   SystemConfig cfg = base_config();
   cfg.design = DesignPoint::kGss;
-  cfg.sched = SchedMode::kFastForward;
+  cfg.sched = SchedMode::kDense;
   Simulator sim(cfg);
   (void)sim.run();
   EXPECT_EQ(sim.sched_counters().executed_cycles, 0u);
   EXPECT_EQ(sim.sched_counters().wakeups, 0u);
-  EXPECT_EQ(sim.sched(), SchedMode::kFastForward);
+  EXPECT_EQ(sim.sched(), SchedMode::kDense);
 }
 
 TEST(EventSched, IdleTrafficSkipsMostCycles) {
@@ -367,13 +406,110 @@ TEST(EventSched, IdleTrafficSkipsMostCycles) {
 }
 
 // ---------------------------------------------------------------------
+// Saturation fallback: entered after kBurstStreak busy cycles, left at
+// the first idle gap.
+// ---------------------------------------------------------------------
+
+/// A frame-driven video SoC on a 2x2 mesh: camera writes and display
+/// reads saturate the memory for the first 10-12% of every 66k-cycle
+/// frame, a DMA core bursts for 400 of every 12.4k cycles, and an MPU
+/// trickles demand misses. A run alternates saturated windows with
+/// long idle gaps.
+traffic::Application frame_idle_app() {
+  traffic::CoreSpec mpu;
+  mpu.name = "mpu";
+  mpu.is_mpu = true;
+  mpu.demand_fraction = 0.8;
+  mpu.demand_bytes = 32;
+  mpu.sizes = {{64, 1.0}};
+  mpu.bytes_per_cycle = 0.01;
+  mpu.max_outstanding = 2;
+  mpu.sequential_fraction = 0.3;
+
+  const auto frame_core = [](const char* name, double reads, double active) {
+    traffic::CoreSpec c;
+    c.name = name;
+    c.sizes = {{256, 1.0}};
+    c.bytes_per_cycle = 1.0;
+    c.read_fraction = reads;
+    c.sequential_fraction = 0.98;
+    c.open_loop = true;
+    c.pattern = traffic::TrafficPattern::kFramePeriodic;
+    c.frame_period = 66000;
+    c.frame_active_fraction = active;
+    return c;
+  };
+
+  traffic::CoreSpec dma;
+  dma.name = "dma";
+  dma.sizes = {{64, 0.5}, {128, 0.5}};
+  dma.bytes_per_cycle = 1.0;
+  dma.read_fraction = 0.5;
+  dma.sequential_fraction = 0.7;
+  dma.pattern = traffic::TrafficPattern::kBursty;
+  dma.burst_on_cycles = 400;
+  dma.burst_off_cycles = 12000;
+
+  std::vector<traffic::CoreSpec> specs = {
+      mpu, frame_core("camera", 0.0, 0.10), frame_core("display", 1.0, 0.12),
+      dma};
+  std::uint64_t base = 0;
+  for (traffic::CoreSpec& c : specs) {
+    c.region_base = base;
+    base += c.region_bytes;
+  }
+  noc::NocConfig noc;
+  noc.width = 2;
+  noc.height = 2;
+  noc.mem_node = 0;
+  return traffic::place_application("frame_idle", noc, std::move(specs));
+}
+
+TEST(EventSched, FallbackEndsAtTheFirstIdleGap) {
+  // Saturated windows send the event loop into its dense fallback. The
+  // fallback must end once a window drains, so the idle rest of each
+  // frame or burst period is jumped. Each bound sits between the gap
+  // exit (~0.92 of cycles jumped on the frame SoC, ~0.36 on the
+  // checked-in pattern showcase) and a fallback that runs fixed-length
+  // bursts past the idle edges (~0.49 and ~0.01).
+  SystemConfig frame;
+  frame.design = DesignPoint::kGssSagm;
+  frame.generation = sdram::DdrGeneration::kDdr3;
+  frame.clock_mhz = 667.0;
+  frame.priority_enabled = true;
+  frame.custom_app = frame_idle_app();
+  frame.warmup_cycles = 20000;
+  SystemConfig patterns =
+      scenario::load_scenario(std::string(ANNOC_SCENARIO_DIR) +
+                              "/example_patterns.json")
+          .config;
+  struct Leg {
+    const char* tag;
+    SystemConfig cfg;
+    double min_skipped;
+  };
+  for (Leg leg : {Leg{"frame_idle", frame, 0.85},
+                  Leg{"example_patterns", patterns, 0.3}}) {
+    leg.cfg.sim_cycles = 300000;
+    leg.cfg.sched = SchedMode::kEvent;
+    Simulator sim(leg.cfg);
+    (void)sim.run();
+    EXPECT_GE(static_cast<double>(sim.sched_counters().skipped_cycles) /
+                  static_cast<double>(sim.now()),
+              leg.min_skipped)
+        << leg.tag;
+    expect_event_identical(leg.cfg, leg.tag);
+  }
+}
+
+// ---------------------------------------------------------------------
 // Horizon audit (SystemConfig::audit_horizons).
 // ---------------------------------------------------------------------
 
 TEST(EventSched, HorizonAuditStaysSilentAcrossDesignPoints) {
   // audit_horizons dense-steps with per-component state fingerprints
   // and aborts if any component acts past its reported horizon — the
-  // over-estimate detector behind both skip schedulers. Silence here
+  // over-estimate detector behind the event scheduler. Silence here
   // plus the identity tests above bracket next_event from both sides.
   // The same mode re-derives every replayed router arbitration and
   // every skipped downstream probe, so the legs cover each flow
@@ -393,7 +529,11 @@ TEST(EventSched, HorizonAuditStaysSilentAcrossDesignPoints) {
     cfg.priority_enabled = true;
     cfg.model_response_path = leg.design == DesignPoint::kGssSagm;
     cfg.audit_horizons = true;
-    const Metrics audited = run_simulation(cfg);
+    // The audit must see every cycle, so an audited run steps densely
+    // even though the config asks for the default event scheduler.
+    Simulator audited_sim(cfg);
+    EXPECT_EQ(audited_sim.sched(), SchedMode::kDense);
+    const Metrics audited = audited_sim.run();
     cfg.audit_horizons = false;
     const Metrics plain = run_simulation(cfg);
     expect_metrics_identical(plain, audited,

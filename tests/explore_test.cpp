@@ -190,10 +190,10 @@ TEST(SweepSpec, SweepSeedIsAStrictSeed) {
 
 TEST(SweepSpec, OptionalEnumAxisTakesNull) {
   const explore::SweepSpec spec = explore::parse_sweep_spec(
-      R"({"axes": [{"key": "sched", "values": [null, "event"]}]})", "<t>");
+      R"({"axes": [{"key": "engine", "values": [null, "dpq"]}]})", "<t>");
   ASSERT_EQ(spec.job_count(), 2u);
-  EXPECT_FALSE(spec.job_config(0).sched.has_value());
-  EXPECT_EQ(spec.job_config(1).sched, core::SchedMode::kEvent);
+  EXPECT_FALSE(spec.job_config(0).engine.has_value());
+  EXPECT_EQ(spec.job_config(1).engine, core::EngineKind::kDpq);
 }
 
 TEST(Scenario, SweepableKeyClassification) {

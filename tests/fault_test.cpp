@@ -1,4 +1,4 @@
-/// Fault-injection subsystem (src/fault/): three-way scheduler identity
+/// Fault-injection subsystem (src/fault/): dense == event scheduler identity
 /// under every fault kind (explicit and random schedules), the
 /// deadlock/livelock watchdog (fires on a partitioned fabric, stays
 /// silent on every live one, and is a pure observer — bit-identical
@@ -32,20 +32,14 @@ std::string scenario_path(const std::string& file) {
   return std::string(ANNOC_SCENARIO_DIR) + "/" + file;
 }
 
-/// Run `cfg` dense, fast-forward and event-driven; demand bit-identical
-/// Metrics (the tentpole contract: fault edges are event horizons, not
-/// dense-only side effects) and return the dense result.
-Metrics run_three_way(SystemConfig cfg, const std::string& tag) {
-  cfg.fast_forward = false;
+/// Run `cfg` dense and event-driven; demand bit-identical Metrics (the
+/// tentpole contract: fault edges are event horizons, not dense-only
+/// side effects) and return the dense result.
+Metrics run_both_scheds(SystemConfig cfg, const std::string& tag) {
   cfg.sched = core::SchedMode::kDense;
   const Metrics dense = core::run_simulation(cfg);
-  SystemConfig fast = cfg;
-  fast.fast_forward = true;
-  fast.sched = core::SchedMode::kFastForward;
   SystemConfig event = cfg;
   event.sched = core::SchedMode::kEvent;
-  core::expect_metrics_identical(core::run_simulation(fast), dense,
-                                 tag + "/fast_vs_dense");
   core::expect_metrics_identical(core::run_simulation(event), dense,
                                  tag + "/event_vs_dense");
   return dense;
@@ -76,7 +70,7 @@ fault::FaultSpec make_fault(fault::FaultKind kind, Cycle at, Cycle until) {
   return f;
 }
 
-// --- three-way identity per fault kind ---------------------------------
+// --- dense == event identity per fault kind ----------------------------
 
 TEST(FaultIdentity, DeadLink) {
   SystemConfig cfg = base_config();
@@ -84,7 +78,7 @@ TEST(FaultIdentity, DeadLink) {
   f.a = 5;
   f.b = 6;
   cfg.faults.push_back(f);
-  const Metrics m = run_three_way(cfg, "dead_link");
+  const Metrics m = run_both_scheds(cfg, "dead_link");
   EXPECT_EQ(m.fault.dead_link_activations, 1u);
   EXPECT_EQ(m.fault.deactivations, 1u);
   EXPECT_EQ(m.fault.first_activation, 2000u);
@@ -98,7 +92,7 @@ TEST(FaultIdentity, DegradedLink) {
   f.b = 6;
   f.penalty = 10;
   cfg.faults.push_back(f);
-  const Metrics m = run_three_way(cfg, "degraded_link");
+  const Metrics m = run_both_scheds(cfg, "degraded_link");
   EXPECT_EQ(m.fault.degraded_link_activations, 1u);
   EXPECT_EQ(m.fault.deactivations, 1u);
 }
@@ -109,19 +103,19 @@ TEST(FaultIdentity, SlowRouter) {
   f.router = 5;
   f.period = 4;
   cfg.faults.push_back(f);
-  const Metrics m = run_three_way(cfg, "slow_router");
+  const Metrics m = run_both_scheds(cfg, "slow_router");
   EXPECT_EQ(m.fault.slow_router_activations, 1u);
 }
 
 TEST(FaultIdentity, RefreshStorm) {
   SystemConfig cfg = base_config();
   cfg.refresh = true;
-  const Metrics nominal = run_three_way(cfg, "refresh_nominal");
+  const Metrics nominal = run_both_scheds(cfg, "refresh_nominal");
   fault::FaultSpec f = make_fault(fault::FaultKind::kRefreshStorm, 2000, 5000);
   f.channel = 0;
   f.trefi = 300;
   cfg.faults.push_back(f);
-  const Metrics m = run_three_way(cfg, "refresh_storm");
+  const Metrics m = run_both_scheds(cfg, "refresh_storm");
   EXPECT_EQ(m.fault.refresh_storm_activations, 1u);
   // The storm must actually tighten tREFI inside the window — and with
   // check on, the TimingOracle verified every one of those extra REFs
@@ -142,7 +136,7 @@ TEST(FaultIdentity, ThrottledBanks) {
   // check is on: the oracle folds the same bank-extra timeline into its
   // expected tRCD/tRP, so a clean run certifies device and oracle agree
   // on the throttled constraints.
-  const Metrics m = run_three_way(cfg, "throttled_banks");
+  const Metrics m = run_both_scheds(cfg, "throttled_banks");
   EXPECT_EQ(m.fault.throttled_bank_activations, 1u);
 }
 
@@ -154,7 +148,7 @@ TEST(FaultIdentity, RandomScheduleAllKinds) {
   cfg.fault_start = 1500;
   cfg.fault_spacing = 700;
   cfg.fault_duration = 1000;
-  const Metrics m = run_three_way(cfg, "random_schedule");
+  const Metrics m = run_both_scheds(cfg, "random_schedule");
   const std::uint64_t activations =
       m.fault.dead_link_activations + m.fault.degraded_link_activations +
       m.fault.slow_router_activations + m.fault.refresh_storm_activations +
@@ -162,7 +156,6 @@ TEST(FaultIdentity, RandomScheduleAllKinds) {
   EXPECT_EQ(activations, 5u);
   // Pure function of the knobs: a second dense run reproduces bitwise.
   SystemConfig again = cfg;
-  again.fast_forward = false;
   again.sched = core::SchedMode::kDense;
   core::expect_metrics_identical(core::run_simulation(again),
                                  core::run_simulation(again),
@@ -188,7 +181,7 @@ TEST(FaultIdentity, MultiControllerChannelFaults) {
   throttle.extra_trcd = 6;
   throttle.extra_trp = 6;
   cfg.faults.push_back(throttle);
-  const Metrics m = run_three_way(cfg, "multi_ctrl_faults");
+  const Metrics m = run_both_scheds(cfg, "multi_ctrl_faults");
   EXPECT_EQ(m.fault.refresh_storm_activations, 1u);
   EXPECT_EQ(m.fault.throttled_bank_activations, 1u);
 }
@@ -202,7 +195,6 @@ TEST(FaultMetrics, PrePostSplitAccountsEveryRequest) {
   f.b = 6;
   f.penalty = 12;
   cfg.faults.push_back(f);
-  cfg.fast_forward = false;
   cfg.sched = core::SchedMode::kDense;
   const Metrics m = core::run_simulation(cfg);
   EXPECT_EQ(m.fault.first_activation, 3000u);
@@ -218,7 +210,6 @@ TEST(FaultMetrics, PrePostSplitAccountsEveryRequest) {
 
 TEST(FaultMetrics, FaultFreeRunsStayAllZero) {
   SystemConfig cfg = base_config();
-  cfg.fast_forward = false;
   cfg.sched = core::SchedMode::kDense;
   const Metrics m = core::run_simulation(cfg);
   EXPECT_EQ(m.fault.first_activation, kNeverCycle);
@@ -240,9 +231,9 @@ TEST(Watchdog, PureObserverOnLiveFabric) {
   f.penalty = 10;
   cfg.faults.push_back(f);
   cfg.watchdog_cycles = 0;
-  const Metrics off = run_three_way(cfg, "watchdog_off");
+  const Metrics off = run_both_scheds(cfg, "watchdog_off");
   cfg.watchdog_cycles = 2500;
-  const Metrics on = run_three_way(cfg, "watchdog_on");
+  const Metrics on = run_both_scheds(cfg, "watchdog_on");
   core::expect_metrics_identical(on, off, "watchdog_on_vs_off");
 }
 
@@ -253,13 +244,8 @@ TEST(WatchdogDeathTest, FiresOnPartitionedFabric) {
   const scenario::Scenario s =
       scenario::load_scenario(scenario_path("faults/deadlock_demo.json"));
   SystemConfig dense = s.config;
-  dense.fast_forward = false;
   dense.sched = core::SchedMode::kDense;
   EXPECT_DEATH({ (void)core::run_simulation(dense); }, "watchdog");
-  SystemConfig fast = s.config;
-  fast.fast_forward = true;
-  fast.sched = core::SchedMode::kFastForward;
-  EXPECT_DEATH({ (void)core::run_simulation(fast); }, "watchdog");
   SystemConfig event = s.config;
   event.sched = core::SchedMode::kEvent;
   EXPECT_DEATH({ (void)core::run_simulation(event); }, "watchdog");
@@ -277,7 +263,6 @@ TEST(Watchdog, SilentOnEveryCheckedInFaultScenario) {
     if (name.find("deadlock") != std::string::npos) continue;
     const scenario::Scenario s = scenario::load_scenario(entry.path().string());
     SystemConfig cfg = s.config;
-    cfg.fast_forward = false;
     cfg.sched = core::SchedMode::kDense;
     // Keep the sweep fast; the full windows run in scenario-level CI.
     cfg.sim_cycles = std::min<Cycle>(cfg.sim_cycles, 12000);

@@ -1,14 +1,13 @@
 /// \file metrics_identical.hpp
 /// Shared bit-identity assertion on two Metrics: every field compared
 /// with EXPECT_EQ, doubles included — the contract across execution
-/// modes (dense vs fast-forward, serial vs parallel, hard-coded vs
+/// modes (dense vs event, serial vs parallel, hard-coded vs
 /// scenario-loaded) is bitwise equality, not tolerance. The field list
 /// is not maintained here: the assertion walks
 /// core::for_each_comparable_field, whose static_asserts fail the
 /// build when Metrics grows a field this comparison would silently
-/// skip. The older per-test copies (fast_forward_test,
-/// observability_test) predate this header; new tests include it
-/// instead of duplicating the list.
+/// skip. The older per-test copy in observability_test predates this
+/// header; new tests include it instead of duplicating the list.
 #pragma once
 
 #include <gtest/gtest.h>

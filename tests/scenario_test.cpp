@@ -4,7 +4,7 @@
 /// through parse -> dump -> parse and apply_overrides), scenario files
 /// vs hard-coded configs, structured parse errors for malformed scenario
 /// and trace inputs, and the trace record -> replay loop (CSV and
-/// binary, dense and fast-forward) — all bit-identical.
+/// binary, dense and event) — all bit-identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,7 +58,6 @@ void expect_config_eq(const SystemConfig& a, const SystemConfig& b,
   EXPECT_EQ(a.warmup_cycles, b.warmup_cycles) << tag;
   EXPECT_EQ(a.drain_cycle_limit, b.drain_cycle_limit) << tag;
   EXPECT_EQ(a.seed, b.seed) << tag;
-  EXPECT_EQ(a.fast_forward, b.fast_forward) << tag;
   EXPECT_EQ(a.sched, b.sched) << tag;
   EXPECT_EQ(a.audit_horizons, b.audit_horizons) << tag;
   EXPECT_EQ(a.pct, b.pct) << tag;
@@ -327,7 +326,7 @@ TEST(ScenarioSchema, HandWrittenKeysAreTheStructuralOnes) {
 /// invent: enum tokens and checked strings.
 const std::map<std::string, std::string, std::less<>> kSampleValues = {
     {"design", "\"conv\""},      {"ddr", "1"},
-    {"sched", "\"event\""},      {"engine", "\"dpq\""},
+    {"sched", "\"dense\""},      {"engine", "\"dpq\""},
     {"observe", "\"full\""},     {"pattern", "\"hotspot\""},
     {"mesh_preset", "\"2x2\""},  {"fault.kinds", "\"slow_router\""},
 };
@@ -551,26 +550,31 @@ TEST(ScenarioErrors, WrongTypeAndRange) {
 }
 
 TEST(ScenarioSched, ParsesAndRoundTrips) {
-  // The sched knob overrides the legacy fast_forward bool; unset keeps
-  // the bool's meaning (resolved_sched()).
-  const Scenario s =
-      scenario::parse_scenario("{\"sched\": \"event\"}", "<test>");
-  ASSERT_TRUE(s.config.sched.has_value());
-  EXPECT_EQ(*s.config.sched, core::SchedMode::kEvent);
-  EXPECT_EQ(s.config.resolved_sched(), core::SchedMode::kEvent);
-  const Scenario back =
-      scenario::parse_scenario(scenario::dump_scenario(s), "<dump>");
-  EXPECT_EQ(back.config.sched, s.config.sched);
-
+  // An unset sched runs the event core; both spellings round-trip.
   const Scenario unset = scenario::parse_scenario("{}", "<test>");
-  EXPECT_FALSE(unset.config.sched.has_value());
-  EXPECT_EQ(unset.config.resolved_sched(),
-            core::SchedMode::kFastForward);
+  EXPECT_EQ(unset.config.sched, core::SchedMode::kEvent);
+  for (const char* text : {"{}", "{\"sched\": \"dense\"}",
+                           "{\"sched\": \"event\"}"}) {
+    const Scenario s = scenario::parse_scenario(text, "<test>");
+    const Scenario back =
+        scenario::parse_scenario(scenario::dump_scenario(s), "<dump>");
+    EXPECT_EQ(back.config.sched, s.config.sched) << text;
+  }
+  EXPECT_EQ(scenario::parse_scenario("{\"sched\": \"dense\"}", "<test>")
+                .config.sched,
+            core::SchedMode::kDense);
 
-  // The documented `null` means unset, as for the other optional knobs.
-  const Scenario null_sched =
-      scenario::parse_scenario("{\"sched\": null}", "<test>");
-  EXPECT_FALSE(null_sched.config.sched.has_value());
+  // The fast-forward scheduler is gone: neither its old bool key nor
+  // its token parses, and each error points at the key.
+  for (const char* bad : {"{\n  \"fast_forward\": true\n}",
+                          "{\n  \"sched\": \"fast_forward\"\n}",
+                          "{\n  \"sched\": null\n}"}) {
+    const ParseError e = capture(bad);
+    EXPECT_EQ(e.line(), 2u) << bad;
+    EXPECT_EQ(e.column(), 3u) << bad;
+  }
+  EXPECT_EQ(capture("{\"fast_forward\": false}").key(), "fast_forward");
+  EXPECT_EQ(capture("{\"sched\": \"fast_forward\"}").key(), "sched");
 }
 
 TEST(ScenarioErrors, SeedStringsAreStrict) {
@@ -826,21 +830,21 @@ TEST(RecordReplay, ReplayIsAFixedPoint) {
   EXPECT_EQ(ta, tb);
 }
 
-TEST(RecordReplay, DenseAndFastForwardBitIdentical) {
-  const std::string trace = tmp_path("ff.csv");
+TEST(RecordReplay, DenseAndEventBitIdentical) {
+  const std::string trace = tmp_path("sched.csv");
   Scenario s = short_patterns_scenario();
   s.config.record_trace_path = trace;
   (void)core::run_simulation(s.config);
 
   Scenario dense = short_patterns_scenario();
   dense.config.replay_trace_path = trace;
-  dense.config.fast_forward = false;
-  Scenario ff = short_patterns_scenario();
-  ff.config.replay_trace_path = trace;
-  ff.config.fast_forward = true;
+  dense.config.sched = core::SchedMode::kDense;
+  Scenario event = short_patterns_scenario();
+  event.config.replay_trace_path = trace;
+  event.config.sched = core::SchedMode::kEvent;
   expect_metrics_identical(core::run_simulation(dense.config),
-                           core::run_simulation(ff.config),
-                           "replay-dense-vs-ff");
+                           core::run_simulation(event.config),
+                           "replay-dense-vs-event");
 }
 
 TEST(RecordReplay, CsvAndBinaryReplayIdentically) {

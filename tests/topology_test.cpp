@@ -2,8 +2,8 @@
 /// File-defined topologies and the multi-controller fabric: positioned
 /// parse diagnostics for malformed topology/memory objects, the channel
 /// interleave math, scenario round-trips, sweep-override guards, and
-/// three-way scheduler bit-identity (dense == fast_forward == event) on
-/// irregular and re-tiled multi-controller fabrics with the checkers on.
+/// scheduler bit-identity (dense == event) on irregular and re-tiled
+/// multi-controller fabrics with the checkers on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -380,38 +380,35 @@ TEST(MeshPreset, TileApplicationReplicatesAndRelays) {
   }
 }
 
-// --- three-way scheduler identity on the new fabrics -------------------
+// --- dense == event scheduler identity on the new fabrics --------------
 
 core::Metrics run_mode(SystemConfig cfg, SchedMode m) {
   cfg.sched = m;
   return core::run_simulation(cfg);
 }
 
-void expect_three_way_identity(const SystemConfig& cfg,
-                               const std::string& tag) {
+void expect_sched_identity(const SystemConfig& cfg, const std::string& tag) {
   const core::Metrics dense = run_mode(cfg, SchedMode::kDense);
-  const core::Metrics fast = run_mode(cfg, SchedMode::kFastForward);
   const core::Metrics event = run_mode(cfg, SchedMode::kEvent);
-  core::expect_metrics_identical(fast, dense, tag + "/fast_forward");
   core::expect_metrics_identical(event, dense, tag + "/event");
   EXPECT_GT(dense.completed_requests, 0u) << tag;
 }
 
-TEST(MultiController, RingTopologyThreeWayIdentity) {
+TEST(MultiController, RingTopologySchedIdentity) {
   const Scenario s =
       scenario::load_scenario(scenario_path("ring8_dual_ctrl.json"));
   ASSERT_TRUE(s.config.check) << "checkers must be on for this scenario";
-  expect_three_way_identity(s.config, "ring8_dual_ctrl");
+  expect_sched_identity(s.config, "ring8_dual_ctrl");
 }
 
-TEST(MultiController, Tiled8x8QuadControllerThreeWayIdentity) {
+TEST(MultiController, Tiled8x8QuadControllerSchedIdentity) {
   Scenario s =
       scenario::load_scenario(scenario_path("ddtv_8x8_quad_ctrl.json"));
   s.config.sim_cycles = 6000;
   s.config.warmup_cycles = 1000;
   s.config.drain_cycle_limit = 6000;
   ASSERT_TRUE(s.config.check);
-  expect_three_way_identity(s.config, "ddtv_8x8_quad");
+  expect_sched_identity(s.config, "ddtv_8x8_quad");
 }
 
 TEST(MultiController, ExplicitPlacementAndResponsePath) {
@@ -425,7 +422,7 @@ TEST(MultiController, ExplicitPlacementAndResponsePath) {
   cfg.sim_cycles = 5000;
   cfg.warmup_cycles = 500;
   cfg.drain_cycle_limit = 5000;
-  expect_three_way_identity(cfg, "4x8_response_path");
+  expect_sched_identity(cfg, "4x8_response_path");
 }
 
 }  // namespace
