@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <ostream>
+#include <span>
 
 #include "common/assert.hpp"
 
@@ -11,18 +12,12 @@ namespace annoc::noc {
 Network::Network(const NocConfig& cfg, std::vector<FlowControlKind> fc_kinds,
                  const GssParams& gss)
     : cfg_(cfg) {
-  const bool topo = cfg_.topology != nullptr;
-  const std::size_t n =
-      topo ? cfg_.topology->num_nodes()
-           : static_cast<std::size_t>(cfg.width) *
-                 static_cast<std::size_t>(cfg.height);
+  ANNOC_ASSERT_MSG(cfg_.topology == nullptr ||
+                       cfg_.routing == RoutingPolicy::kXY,
+                   "adaptive routing needs mesh geometry");
+  const TopologyPorts ports = fabric_ports(cfg_);
+  const std::size_t n = ports.slots.size();
   ANNOC_ASSERT(n > 0);
-  if (topo) {
-    ANNOC_ASSERT_MSG(validate_topology(*cfg_.topology).ok(),
-                     "Network given an invalid topology");
-    ANNOC_ASSERT_MSG(cfg_.routing == RoutingPolicy::kXY,
-                     "adaptive routing needs mesh geometry");
-  }
   ANNOC_ASSERT_MSG(fc_kinds.size() == 1 || fc_kinds.size() == n,
                    "fc_kinds must have 1 or num-node entries");
 
@@ -42,45 +37,24 @@ Network::Network(const NocConfig& cfg, std::vector<FlowControlKind> fc_kinds,
   for (NodeId id = 0; id < n; ++id) {
     const FlowControlKind kind =
         fc_kinds.size() == 1 ? fc_kinds[0] : fc_kinds[id];
-    // Irregular topologies have no grid coordinates; the router's x/y
-    // are only consulted by mesh XY routing, which topology mode never
-    // runs.
-    const std::uint32_t x = topo ? id : x_of(id);
-    const std::uint32_t y = topo ? 0 : y_of(id);
     routers_.push_back(std::make_unique<Router>(
-        id, x, y, cfg.buffer_flits, cfg.pipeline_latency, kind, gss,
+        id, cfg.buffer_flits, cfg.pipeline_latency, kind, gss,
         std::max(1u, cfg.num_vcs)));
   }
   links_.resize(n);
+  for (NodeId id = 0; id < n; ++id) {
+    for (std::uint8_t s = 0; s < 4; ++s) {
+      const TopologyPorts::Slot& slot = ports.slots[id][s];
+      if (slot.nb == kInvalidNode) continue;
+      links_[id][kPortNorth + s] =
+          Link{slot.nb, static_cast<Port>(kPortNorth + slot.nb_slot)};
+    }
+  }
+  rows_.resize(n);
   link_dead_.assign(n, {});
   link_penalty_.assign(n, {});
   slow_period_.assign(n, 0);
   slow_anchor_.assign(n, 0);
-  if (topo) {
-    const TopologyPorts ports = assign_ports(*cfg_.topology);
-    for (NodeId id = 0; id < n; ++id) {
-      for (std::uint8_t s = 0; s < 4; ++s) {
-        const TopologyPorts::Slot& slot = ports.slots[id][s];
-        if (slot.nb == kInvalidNode) continue;
-        links_[id][kPortNorth + s] =
-            Link{slot.nb, static_cast<Port>(kPortNorth + slot.nb_slot)};
-      }
-    }
-    topo_dist_ = bfs_distances(*cfg_.topology);
-    topo_next_ = bfs_next_hops(*cfg_.topology, ports, topo_dist_);
-  } else {
-    for (NodeId id = 0; id < n; ++id) {
-      const std::uint32_t x = x_of(id), y = y_of(id);
-      if (y > 0) links_[id][kPortNorth] = Link{node_at(x, y - 1), kPortSouth};
-      if (y + 1 < cfg_.height) {
-        links_[id][kPortSouth] = Link{node_at(x, y + 1), kPortNorth};
-      }
-      if (x + 1 < cfg_.width) {
-        links_[id][kPortEast] = Link{node_at(x + 1, y), kPortWest};
-      }
-      if (x > 0) links_[id][kPortWest] = Link{node_at(x - 1, y), kPortEast};
-    }
-  }
 }
 
 std::uint32_t Network::downstream_free(NodeId at, Port out) const {
@@ -89,66 +63,102 @@ std::uint32_t Network::downstream_free(NodeId at, Port out) const {
   return routers_[l.nb]->free_flits(l.nb_in);
 }
 
-Port Network::route(NodeId at, NodeId dst, bool to_memory) const {
+/// Tie-break orders among a node's productive ports (those whose
+/// neighbour is one hop closer to the destination). On a healthy mesh
+/// the first productive port in kXyOrder is the XY move and in
+/// kNegativeFirstOrder the negative-first one; kSlotOrder is the
+/// lowest link slot.
+static constexpr Port kXyOrder[] = {kPortEast, kPortWest, kPortSouth,
+                                    kPortNorth};
+static constexpr Port kNegativeFirstOrder[] = {kPortWest, kPortNorth,
+                                               kPortEast, kPortSouth};
+static constexpr Port kSlotOrder[] = {kPortNorth, kPortEast, kPortSouth,
+                                      kPortWest};
+
+static constexpr std::uint32_t kFar = ~0u;  ///< unreachable
+
+/// Hop distances from the nearest node of `queue` over the links
+/// `nb(node, slot)` names (kInvalidNode: none); kFar where unreachable.
+template <class Neighbour>
+static std::vector<std::uint32_t> bfs(std::size_t n, std::vector<NodeId> queue,
+                                      Neighbour nb) {
+  std::vector<std::uint32_t> dist(n, kFar);
+  for (const NodeId s : queue) dist[s] = 0;
+  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+    const NodeId u = queue[qi];
+    for (std::uint8_t s = 0; s < 4; ++s) {
+      const NodeId v = nb(u, s);
+      if (v == kInvalidNode || dist[v] != kFar) continue;
+      dist[v] = dist[u] + 1;
+      queue.push_back(v);
+    }
+  }
+  return dist;
+}
+
+void Network::build_row(NodeId dst) {
+  const std::size_t n = routers_.size();
+  const std::vector<std::uint32_t> dist =
+      bfs(n, {dst}, [&](NodeId u, std::uint8_t s) {
+        const int p = kPortNorth + s;
+        return link_dead_[u][p] ? kInvalidNode : links_[u][p].nb;
+      });
+
+  // XY and negative-first assume an intact mesh; a file topology, or
+  // any fabric with a dead link, takes the lowest slot.
+  const bool mesh = cfg_.topology == nullptr && num_dead_links_ == 0;
+  const bool adaptive =
+      mesh && cfg_.routing == RoutingPolicy::kAdaptiveMinimal;
+  const std::span<const Port> order =
+      !mesh ? kSlotOrder : adaptive ? kNegativeFirstOrder : kXyOrder;
+  std::vector<Hop>& row = rows_[dst];
+  row.assign(n, Hop{});
+  for (NodeId at = 0; at < n; ++at) {
+    if (at == dst || dist[at] == kFar) continue;  // unreachable: parked
+    const auto productive = [&](Port p) {
+      const Link& l = links_[at][p];
+      return l.nb != kInvalidNode && !link_dead_[at][p] &&
+             dist[l.nb] + 1 == dist[at];
+    };
+    Hop& h = row[at];
+    h.port = *std::find_if(order.begin(), order.end(), productive);
+    // Negative-first: with both west and north productive, north is
+    // the run-time alternate.
+    if (adaptive && h.port == kPortWest && productive(kPortNorth)) {
+      h.alt = kPortNorth;
+    }
+  }
+}
+
+Network::Hop Network::next_hop(NodeId at, NodeId dst) {
+  if (rows_[dst].empty()) build_row(dst);
+  return rows_[dst][at];
+}
+
+Port Network::route(NodeId at, NodeId dst, bool to_memory) {
   ANNOC_ASSERT(at < routers_.size() && dst < routers_.size());
   if (at == dst) {
     // Arrived: memory-bound packets eject into the subsystem,
     // core-bound packets (read responses) into the local core.
     return to_memory ? kPortMem : kPortLocal;
   }
-
-  if (!fault_next_.empty()) {
-    // Dead links present: BFS next hop over the live links (or parked
-    // when the destination is unreachable). Overrides every normal
-    // policy — XY/adaptive minimality assumes an intact fabric.
-    const std::size_t n = routers_.size();
-    return static_cast<Port>(
-        fault_next_[static_cast<std::size_t>(dst) * n + at]);
+  const Hop h = next_hop(at, dst);
+  if (h.alt != kPortParked &&
+      downstream_free(at, h.alt) > downstream_free(at, h.port)) {
+    return h.alt;
   }
-
-  if (!topo_next_.empty()) {
-    // Irregular topology: precomputed BFS next-hop slot toward dst.
-    const std::size_t n = routers_.size();
-    return static_cast<Port>(kPortNorth +
-                             topo_next_[static_cast<std::size_t>(dst) * n + at]);
-  }
-
-  const std::uint32_t ax = x_of(at), ay = y_of(at);
-  const std::uint32_t dx = x_of(dst), dy = y_of(dst);
-
-  if (cfg_.routing == RoutingPolicy::kAdaptiveMinimal) {
-    // Negative-first: take all west/north moves before any east/south
-    // move (deadlock-free turn model); when both are productive, pick
-    // the downstream buffer with more free space.
-    const bool need_west = ax > dx;
-    const bool need_north = ay > dy;
-    if (need_west && need_north) {
-      return downstream_free(at, kPortNorth) > downstream_free(at, kPortWest)
-                 ? kPortNorth
-                 : kPortWest;
-    }
-    if (need_west) return kPortWest;
-    if (need_north) return kPortNorth;
-    // Only positive moves remain: deterministic XY order.
-    if (ax < dx) return kPortEast;
-    return kPortSouth;
-  }
-
-  // Deterministic XY.
-  if (ax < dx) return kPortEast;
-  if (ax > dx) return kPortWest;
-  if (ay < dy) return kPortSouth;  // y grows southward (row-major)
-  return kPortNorth;
+  return h.port;
 }
 
-std::uint32_t Network::hops(NodeId a, NodeId b) const {
-  if (!topo_dist_.empty()) {
-    return topo_dist_[static_cast<std::size_t>(a) * routers_.size() + b];
+std::uint32_t Network::hops(NodeId a, NodeId b) {
+  ANNOC_ASSERT(a < routers_.size() && b < routers_.size());
+  std::uint32_t count = 0;
+  for (NodeId at = a; at != b; ++count) {
+    const Port p = next_hop(at, b).port;
+    ANNOC_ASSERT_MSG(p != kPortParked, "hops() toward an unreachable node");
+    at = links_[at][p].nb;
   }
-  const auto dx = static_cast<std::int64_t>(x_of(a)) - x_of(b);
-  const auto dy = static_cast<std::int64_t>(y_of(a)) - y_of(b);
-  return static_cast<std::uint32_t>((dx < 0 ? -dx : dx) +
-                                    (dy < 0 ? -dy : dy));
+  return count;
 }
 
 std::size_t Network::in_flight_packets() const {
@@ -331,49 +341,6 @@ Port Network::port_toward(NodeId a, NodeId b) const {
   return kPortLocal;
 }
 
-void Network::rebuild_fault_tables() {
-  const std::size_t n = routers_.size();
-  if (num_dead_links_ == 0) {
-    fault_dist_.clear();
-    fault_next_.clear();
-    return;
-  }
-  fault_dist_.assign(n * n, 0xffff);
-  fault_next_.assign(n * n, static_cast<std::uint8_t>(kNumPorts));
-  std::vector<NodeId> queue;
-  queue.reserve(n);
-  for (NodeId dst = 0; dst < n; ++dst) {
-    std::uint16_t* const dist = &fault_dist_[static_cast<std::size_t>(dst) * n];
-    queue.clear();
-    dist[dst] = 0;
-    queue.push_back(dst);
-    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-      const NodeId u = queue[qi];
-      for (int p = kPortNorth; p <= kPortWest; ++p) {
-        const Link& l = links_[u][p];
-        if (l.nb == kInvalidNode || link_dead_[u][p]) continue;
-        if (dist[l.nb] != 0xffff) continue;
-        dist[l.nb] = static_cast<std::uint16_t>(dist[u] + 1);
-        queue.push_back(l.nb);
-      }
-    }
-    // Next hop at each node: the first live out-port (N, E, S, W order
-    // — the deterministic tie-break) whose neighbour is one hop closer.
-    for (NodeId at = 0; at < n; ++at) {
-      if (at == dst || dist[at] == 0xffff) continue;
-      for (int p = kPortNorth; p <= kPortWest; ++p) {
-        const Link& l = links_[at][p];
-        if (l.nb == kInvalidNode || link_dead_[at][p]) continue;
-        if (dist[l.nb] + 1 == dist[at]) {
-          fault_next_[static_cast<std::size_t>(dst) * n + at] =
-              static_cast<std::uint8_t>(p);
-          break;
-        }
-      }
-    }
-  }
-}
-
 void Network::reroute_all() {
   for (auto& r : routers_) {
     const NodeId id = r->id();
@@ -391,7 +358,7 @@ void Network::set_link_dead(NodeId a, NodeId b, bool dead) {
   link_dead_[a][ab] = v;
   link_dead_[b][ba] = v;
   num_dead_links_ += dead ? 1u : -1u;
-  rebuild_fault_tables();
+  for (std::vector<Hop>& row : rows_) row.clear();
   reroute_all();
 }
 
@@ -444,37 +411,20 @@ std::vector<FlowControlKind> Network::mixed_kinds(const NocConfig& cfg,
                                                   std::size_t num_gss,
                                                   FlowControlKind gss_kind,
                                                   FlowControlKind base_kind) {
-  const bool topo = cfg.topology != nullptr;
-  const std::size_t n = topo ? cfg.topology->num_nodes()
-                             : static_cast<std::size_t>(cfg.width) *
-                                   static_cast<std::size_t>(cfg.height);
-  const std::vector<NodeId> mems =
-      cfg.mem_nodes.empty() ? std::vector<NodeId>{cfg.mem_node}
-                            : cfg.mem_nodes;
-  const std::vector<std::uint16_t> bfs =
-      topo ? bfs_distances(*cfg.topology) : std::vector<std::uint16_t>{};
+  const TopologyPorts ports = fabric_ports(cfg);
+  const std::size_t n = ports.slots.size();
   // Sort nodes by hop distance to the NEAREST memory node (closest
   // first): the GSS investment goes where controller-bound traffic
   // converges, whichever controller that is.
+  const std::vector<std::uint32_t> dist =
+      bfs(n,
+          cfg.mem_nodes.empty() ? std::vector<NodeId>{cfg.mem_node}
+                                : cfg.mem_nodes,
+          [&](NodeId u, std::uint8_t s) { return ports.slots[u][s].nb; });
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), 0u);
-  const auto dist = [&](NodeId id) {
-    std::uint32_t best = ~0u;
-    for (const NodeId m : mems) {
-      std::uint32_t d;
-      if (topo) {
-        d = bfs[static_cast<std::size_t>(id) * n + m];
-      } else {
-        const auto x = id % cfg.width, y = id / cfg.width;
-        const auto mx = m % cfg.width, my = m / cfg.width;
-        d = (x > mx ? x - mx : mx - x) + (y > my ? y - my : my - y);
-      }
-      best = std::min(best, d);
-    }
-    return best;
-  };
   std::stable_sort(order.begin(), order.end(),
-                   [&](NodeId a, NodeId b) { return dist(a) < dist(b); });
+                   [&](NodeId a, NodeId b) { return dist[a] < dist[b]; });
   std::vector<FlowControlKind> kinds(n, base_kind);
   for (std::size_t i = 0; i < std::min(num_gss, n); ++i) {
     kinds[order[i]] = gss_kind;

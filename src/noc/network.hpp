@@ -1,17 +1,20 @@
 /// \file network.hpp
-/// The request fabric: a 2-D mesh with XY routing (Fig. 7) or a
-/// file-defined irregular topology (topology.hpp), with one or more
-/// memory subsystems hanging off dedicated router ports.
+/// The request fabric: a 2-D mesh (Fig. 7) or a file-defined irregular
+/// topology (topology.hpp), with one or more memory subsystems hanging
+/// off dedicated router ports.
 ///
-/// XY routing is deterministic and minimal, hence deadlock- and
-/// livelock-free (Section IV-A); topology mode substitutes BFS
-/// shortest-path next-hop tables with deterministic tie-breaks (each
-/// hop strictly decreases the distance, so routes stay live). All
-/// request traffic is memory-bound — toward whichever controller the
-/// address interleave selects. Read responses return on a dedicated
-/// response network modelled as contention-free (fixed per-hop
-/// latency), which matches the paper's focus: all scheduling effects
-/// are on the request path.
+/// Every fabric routes by one next-hop table. A destination's row is a
+/// breadth-first search from it over the live links; a policy then
+/// picks, at each node, one of the ports whose neighbour is one hop
+/// closer: XY order on a healthy mesh (deterministic and minimal, hence
+/// deadlock- and livelock-free, Section IV-A), negative-first with a
+/// run-time alternate under adaptive routing, and N/E/S/W order on a
+/// file topology or while a link is dead. Every hop strictly decreases
+/// the distance, so routes stay live. All request traffic is
+/// memory-bound — toward whichever controller the address interleave
+/// selects. Read responses return on a dedicated response network
+/// modelled as contention-free (fixed per-hop latency), which matches
+/// the paper's focus: all scheduling effects are on the request path.
 #pragma once
 
 #include <array>
@@ -86,11 +89,10 @@ struct NocConfig {
   /// memory controller, index == channel. Empty means {mem_node}.
   std::vector<NodeId> mem_nodes{};
   /// Irregular topology (file/scenario-defined). When set, width/height
-  /// and XY routing are ignored: the node count is
-  /// topology->num_nodes() and routing follows per-destination BFS
-  /// next-hop tables (see topology.hpp). Must already validate
-  /// (validate_topology().ok()); the scenario loader guarantees this
-  /// with positioned diagnostics. Requires RoutingPolicy::kXY (the
+  /// are ignored: the node count is topology->num_nodes() and routes
+  /// take the lowest productive link slot (see Network). Must already
+  /// validate (validate_topology().ok()); the scenario loader guarantees
+  /// this with positioned diagnostics. Requires RoutingPolicy::kXY (the
   /// adaptive policy is a mesh-geometry concept).
   std::shared_ptr<const TopologySpec> topology{};
 };
@@ -189,26 +191,20 @@ class Network {
   [[nodiscard]] const NocConfig& config() const { return cfg_; }
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
 
-  /// Mesh coordinate helpers — meaningful in mesh mode only (an
-  /// irregular topology has no grid coordinates).
-  [[nodiscard]] NodeId node_at(std::uint32_t x, std::uint32_t y) const {
-    return y * cfg_.width + x;
-  }
-  [[nodiscard]] std::uint32_t x_of(NodeId n) const { return n % cfg_.width; }
-  [[nodiscard]] std::uint32_t y_of(NodeId n) const { return n / cfg_.width; }
-
-  /// Route decision at `at` toward `dst` under the configured policy;
-  /// at the destination, memory-bound packets take kPortMem and
-  /// core-bound packets take kPortLocal. The adaptive policy consults
-  /// downstream buffer occupancy, so the choice is time-dependent.
-  [[nodiscard]] Port route(NodeId at, NodeId dst, bool to_memory = true) const;
+  /// Route decision at `at` toward `dst`: the next-hop table entry
+  /// (built for `dst` on its first use), or its alternate when that
+  /// one's downstream has strictly more free flits — the adaptive
+  /// policy's only time-dependent choice. kPortParked when `dst` is cut
+  /// off. At the destination, memory-bound packets take kPortMem and
+  /// core-bound packets take kPortLocal.
+  [[nodiscard]] Port route(NodeId at, NodeId dst, bool to_memory = true);
 
   /// Downstream free space (flits) seen from `at` through output `out`.
   [[nodiscard]] std::uint32_t downstream_free(NodeId at, Port out) const;
 
-  /// Hop distance between two nodes: Manhattan in mesh mode, BFS
-  /// shortest-path in topology mode.
-  [[nodiscard]] std::uint32_t hops(NodeId a, NodeId b) const;
+  /// Hop distance from `a` to `b` over the live links, walked along the
+  /// next-hop table (Manhattan on a healthy mesh). `b` must be reachable.
+  [[nodiscard]] std::uint32_t hops(NodeId a, NodeId b);
 
   /// Number of packets currently buffered anywhere in the mesh.
   [[nodiscard]] std::size_t in_flight_packets() const;
@@ -223,14 +219,15 @@ class Network {
   [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> link_list() const;
 
   /// Kill or revive the (a, b) link (both directions — links are
-  /// undirected). While any link is dead the network routes by per-
-  /// destination BFS next-hop tables built over the LIVE links only
-  /// (overriding XY/adaptive/topology routing — documented in
-  /// docs/RESILIENCE.md), and every buffered packet is rerouted; a
-  /// packet whose destination became unreachable parks in place
-  /// (kPortParked) until a later edge heals the partition. In-flight
-  /// transfers are not cancelled: the packet object moved downstream at
-  /// grant time, so the dying link only stops future grants.
+  /// undirected; they must be neighbours). Every table row is dropped
+  /// and every buffered packet rerouted, which rebuilds the rows in use
+  /// over the LIVE links. While any link is dead every fabric takes the
+  /// N/E/S/W tie-break (XY and negative-first assume an intact mesh —
+  /// docs/RESILIENCE.md); a packet whose destination became
+  /// unreachable parks in place (kPortParked) until a later edge heals
+  /// the partition. In-flight transfers are not cancelled: the packet
+  /// object moved downstream at grant time, so the dying link only stops
+  /// future grants.
   void set_link_dead(NodeId a, NodeId b, bool dead);
 
   /// Degraded link: every grant across (a, b) — either direction —
@@ -257,8 +254,8 @@ class Network {
   /// Helper for the Fig. 8 sweep: per-router flow-control kinds where
   /// the `num_gss` routers closest to a memory node (min over all
   /// controllers; ties broken by node id) use `gss_kind` and the rest
-  /// use `base_kind`. Distance is Manhattan on a mesh, BFS hops on an
-  /// irregular topology.
+  /// use `base_kind`. Distance is BFS hops over the fabric's links
+  /// (Manhattan on a mesh).
   [[nodiscard]] static std::vector<FlowControlKind> mixed_kinds(
       const NocConfig& cfg, std::size_t num_gss, FlowControlKind gss_kind,
       FlowControlKind base_kind);
@@ -272,11 +269,22 @@ class Network {
 
   /// The output port of `a` facing `b` (asserts the link exists).
   [[nodiscard]] Port port_toward(NodeId a, NodeId b) const;
-  /// Rebuild fault_dist_/fault_next_ over the live links (cleared when
-  /// the last dead link heals).
-  void rebuild_fault_tables();
   /// Re-run route() for every buffered packet in every router.
   void reroute_all();
+
+  /// One next-hop table entry: the port toward the row's destination
+  /// (kPortParked when it is unreachable) and the adaptive policy's
+  /// alternate (kPortParked when there is none).
+  struct Hop {
+    Port port = kPortParked;
+    Port alt = kPortParked;
+  };
+  /// The table entry at `at` toward `dst`, building the row on first use.
+  [[nodiscard]] Hop next_hop(NodeId at, NodeId dst);
+  /// Fill rows_[dst]: BFS from dst over the live links, then at each node
+  /// the first productive port (neighbour one hop closer) in the
+  /// policy's order.
+  void build_row(NodeId dst);
 
   /// One mesh link as seen from a router output: the neighbour node and
   /// the input port facing back. `nb == kInvalidNode` for ports that
@@ -288,36 +296,28 @@ class Network {
 
   NocConfig cfg_;
   std::vector<std::unique_ptr<Router>> routers_;
-  /// links_[node][out], precomputed in the constructor so neither
-  /// downstream_free() nor tick() redoes the x/y switch per call. In
-  /// topology mode the table is filled from the assigned link slots.
+  /// links_[node][out], filled in the constructor from fabric_ports.
   std::vector<std::array<Link, kNumPorts>> links_;
+  /// The next-hop table, rows_[dst][at]; a row is empty until a packet
+  /// is first routed toward dst, and every row is dropped when a link
+  /// dies or heals.
+  std::vector<std::vector<Hop>> rows_;
   /// Memory-controller nodes (resolved from cfg) and the sink serving
   /// each; sinks_ is indexed by node id, nullptr off the mem nodes.
   std::vector<NodeId> mem_nodes_;
   std::vector<std::uint8_t> is_mem_;
   std::vector<PacketSink*> sinks_;
-  /// Topology mode only: all-pairs BFS distances and next-hop slots
-  /// (see topology.hpp); empty in mesh mode.
-  std::vector<std::uint16_t> topo_dist_;
-  std::vector<std::uint8_t> topo_next_;
   NetworkWaker* waker_ = nullptr;
   LocalSink local_sink_;
   NetworkStats stats_;
 
-  // Fault-injection state (src/fault/). All zero/empty on a healthy
-  // fabric; the per-port arrays are tiny (n * kNumPorts) and always
-  // allocated, the n^2 BFS tables only while a dead link exists.
+  // Fault-injection state (src/fault/). All zero on a healthy fabric;
+  // the per-port arrays are tiny (n * kNumPorts) and always allocated.
   std::vector<std::array<std::uint8_t, kNumPorts>> link_dead_;
   std::vector<std::array<std::uint32_t, kNumPorts>> link_penalty_;
   std::vector<std::uint32_t> slow_period_;
   std::vector<Cycle> slow_anchor_;
   std::uint32_t num_dead_links_ = 0;  ///< undirected count
-  /// While num_dead_links_ > 0: fault_dist_[dst*n + at] is the live-
-  /// link BFS distance (0xffff unreachable) and fault_next_[dst*n + at]
-  /// the next-hop port toward dst (kNumPorts = parked).
-  std::vector<std::uint16_t> fault_dist_;
-  std::vector<std::uint8_t> fault_next_;
 };
 
 }  // namespace annoc::noc

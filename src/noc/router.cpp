@@ -6,13 +6,10 @@
 
 namespace annoc::noc {
 
-Router::Router(NodeId id, std::uint32_t x, std::uint32_t y,
-               std::uint32_t buffer_flits, std::uint32_t pipeline_latency,
-               FlowControlKind fc_kind, const GssParams& gss,
-               std::uint32_t num_vcs)
+Router::Router(NodeId id, std::uint32_t buffer_flits,
+               std::uint32_t pipeline_latency, FlowControlKind fc_kind,
+               const GssParams& gss, std::uint32_t num_vcs)
     : id_(id),
-      x_(x),
-      y_(y),
       pipeline_(pipeline_latency),
       fc_kind_(fc_kind),
       num_vcs_(num_vcs) {

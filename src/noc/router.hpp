@@ -183,14 +183,11 @@ struct VcId {
 
 class Router {
  public:
-  Router(NodeId id, std::uint32_t x, std::uint32_t y,
-         std::uint32_t buffer_flits, std::uint32_t pipeline_latency,
+  Router(NodeId id, std::uint32_t buffer_flits, std::uint32_t pipeline_latency,
          FlowControlKind fc_kind, const GssParams& gss,
          std::uint32_t num_vcs = 1);
 
   [[nodiscard]] NodeId id() const { return id_; }
-  [[nodiscard]] std::uint32_t x() const { return x_; }
-  [[nodiscard]] std::uint32_t y() const { return y_; }
   [[nodiscard]] FlowControlKind fc_kind() const { return fc_kind_; }
   [[nodiscard]] std::uint32_t num_vcs() const { return num_vcs_; }
 
@@ -348,7 +345,6 @@ class Router {
   void invalidate(Port out) { memo_[out] = Memo{}; }
 
   NodeId id_;
-  std::uint32_t x_, y_;
   std::uint32_t pipeline_;
   FlowControlKind fc_kind_;
   std::uint32_t num_vcs_;

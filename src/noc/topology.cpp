@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "noc/network.hpp"
 
 namespace annoc::noc {
 
@@ -122,59 +123,22 @@ TopologyPorts assign_ports(const TopologySpec& spec) {
   return ports;
 }
 
-std::vector<std::uint16_t> bfs_distances(const TopologySpec& spec) {
-  const std::size_t n = spec.num_nodes();
-  constexpr std::uint16_t kUnreached = 0xffff;
-  std::vector<std::uint16_t> dist(n * n, kUnreached);
-
-  // Adjacency once, reused per source.
-  std::vector<std::vector<NodeId>> adj(n);
-  for (const TopologySpec::Edge& e : spec.links) {
-    adj[e.a].push_back(e.b);
-    adj[e.b].push_back(e.a);
+TopologyPorts fabric_ports(const NocConfig& cfg) {
+  if (cfg.topology != nullptr) return assign_ports(*cfg.topology);
+  const std::uint32_t w = cfg.width, h = cfg.height;
+  TopologyPorts ports;
+  ports.slots.resize(static_cast<std::size_t>(w) * h);
+  // Slot s is port kPortNorth + s; a grid link faces back through the
+  // opposite direction.
+  for (NodeId id = 0; id < ports.slots.size(); ++id) {
+    const std::uint32_t x = id % w, y = id / w;
+    std::array<TopologyPorts::Slot, 4>& s = ports.slots[id];
+    if (y > 0) s[0] = {id - w, 2};
+    if (x + 1 < w) s[1] = {id + 1, 3};
+    if (y + 1 < h) s[2] = {id + w, 0};
+    if (x > 0) s[3] = {id - 1, 1};
   }
-
-  std::vector<NodeId> queue;
-  for (NodeId src = 0; src < n; ++src) {
-    std::uint16_t* row = dist.data() + static_cast<std::size_t>(src) * n;
-    row[src] = 0;
-    queue.assign(1, src);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const NodeId at = queue[head];
-      for (const NodeId nb : adj[at]) {
-        if (row[nb] == kUnreached) {
-          row[nb] = static_cast<std::uint16_t>(row[at] + 1);
-          queue.push_back(nb);
-        }
-      }
-    }
-  }
-  return dist;
-}
-
-std::vector<std::uint8_t> bfs_next_hops(const TopologySpec& spec,
-                                        const TopologyPorts& ports,
-                                        const std::vector<std::uint16_t>& dist) {
-  const std::size_t n = spec.num_nodes();
-  ANNOC_ASSERT(dist.size() == n * n);
-  std::vector<std::uint8_t> next(n * n, 0);
-  for (NodeId dst = 0; dst < n; ++dst) {
-    const std::uint16_t* to_dst = nullptr;  // dist is symmetric; use dst row
-    to_dst = dist.data() + static_cast<std::size_t>(dst) * n;
-    for (NodeId at = 0; at < n; ++at) {
-      if (at == dst) continue;
-      // Smallest slot whose neighbour is one hop closer to dst.
-      for (std::uint8_t s = 0; s < 4; ++s) {
-        const NodeId nb = ports.slots[at][s].nb;
-        if (nb == kInvalidNode) continue;
-        if (to_dst[nb] + 1 == to_dst[at]) {
-          next[static_cast<std::size_t>(dst) * n + at] = s;
-          break;
-        }
-      }
-    }
-  }
-  return next;
+  return ports;
 }
 
 }  // namespace annoc::noc

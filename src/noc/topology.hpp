@@ -1,18 +1,16 @@
 /// \file topology.hpp
 /// File-defined network topologies: named nodes, explicit bidirectional
-/// links, routing tables computed from the graph (the garnet
-/// Topology/FileTopology pattern) instead of the parametric mesh's
-/// hardcoded XY switch.
+/// links (the garnet Topology/FileTopology pattern), and the port
+/// layout every fabric shares.
 ///
 /// A TopologySpec is pure data — the scenario loader builds one from a
 /// `topology` object (inline or a separate file) with positioned
-/// diagnostics; `Network` consumes it: each link occupies the lowest
-/// free direction slot (N/E/S/W, so a node's degree is bounded by 4,
-/// matching the router's physical ports) on both endpoints in
-/// declaration order, and per-destination next-hop tables come from a
-/// breadth-first search with smallest-port tie-breaking — shortest-path
-/// routing that is deterministic and, on any graph, live (each hop
-/// strictly decreases the BFS distance). See docs/TOPOLOGIES.md.
+/// diagnostics. `fabric_ports` lays any fabric out as N/E/S/W link
+/// slots: a mesh gets its geometric grid ports, a file topology gives
+/// each link the lowest free slot on both endpoints in declaration order
+/// (so a node's degree is bounded by 4, matching the router's physical
+/// ports). `Network` builds its links and its next-hop table from that
+/// one layout. See docs/TOPOLOGIES.md.
 #pragma once
 
 #include <array>
@@ -25,6 +23,8 @@
 #include "common/types.hpp"
 
 namespace annoc::noc {
+
+struct NocConfig;  // noc/network.hpp
 
 /// An irregular topology: nodes identified by index (names are labels
 /// for scenario files and diagnostics), links undirected.
@@ -84,18 +84,9 @@ struct TopologyIssue {
 /// in declaration order. Asserts the spec validates.
 [[nodiscard]] TopologyPorts assign_ports(const TopologySpec& spec);
 
-/// All-pairs BFS hop distances, row-major `dist[src * n + dst]`.
-/// Unreachable pairs (impossible after validate_topology) map to
-/// 0xffff.
-[[nodiscard]] std::vector<std::uint16_t> bfs_distances(
-    const TopologySpec& spec);
-
-/// Next-hop slot table `next[dst * n + at]`: the direction slot router
-/// `at` forwards through toward `dst` (meaningless when at == dst).
-/// Shortest path; ties broken toward the smallest slot index, so the
-/// table — and every routed path — is a pure function of the spec.
-[[nodiscard]] std::vector<std::uint8_t> bfs_next_hops(
-    const TopologySpec& spec, const TopologyPorts& ports,
-    const std::vector<std::uint16_t>& dist);
+/// The link slots of the fabric `cfg` describes: geometric N/E/S/W
+/// grid ports on a mesh (row-major ids, y growing southward),
+/// assign_ports on a file topology.
+[[nodiscard]] TopologyPorts fabric_ports(const NocConfig& cfg);
 
 }  // namespace annoc::noc

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "noc/network.hpp"
 #include "noc/topology.hpp"
 #include "scenario/object_reader.hpp"
 
@@ -465,13 +466,51 @@ void parse_memory(const ObjectReader& top, const JsonMember& m,
   }
 }
 
-/// Parse the explicit `faults` array. Targets are range-checked against
-/// what the parser can see (the schedule clamps fabric-dependent ones
-/// again after mesh_preset re-tiling); kind-specific nonsense — a link
-/// fault with one endpoint, a refresh storm without refresh — is
-/// rejected here with a positioned message.
+/// The fabric a scenario finally runs on: its mesh_preset re-tiling,
+/// else its custom mesh or topology, else the paper app's mesh.
+noc::NocConfig final_fabric(const core::SystemConfig& cfg) {
+  if (cfg.mesh_preset.empty()) {
+    return cfg.custom_app ? cfg.custom_app->noc
+                          : traffic::build_application(cfg.app).noc;
+  }
+  noc::NocConfig noc;
+  const bool ok = core::parse_mesh_preset(cfg.mesh_preset, &noc.width,
+                                          &noc.height);
+  ANNOC_ASSERT_MSG(ok, "mesh_preset is validated where it is read");
+  return noc;
+}
+
+/// Why link fault `f` cannot run on the fabric laid out by `ports`, or
+/// "" when it can: its endpoints, wrapped into the fabric the way
+/// FaultSchedule::build wraps them, must be neighbours.
+std::string unlinked_fault(const fault::FaultSpec& f,
+                           const noc::TopologyPorts& ports) {
+  const bool is_link = f.kind == fault::FaultKind::kDeadLink ||
+                       f.kind == fault::FaultKind::kDegradedLink;
+  const std::size_t n = ports.slots.size();
+  const NodeId a = static_cast<NodeId>(f.a % n);
+  const NodeId b = static_cast<NodeId>(f.b % n);
+  if (!is_link || std::any_of(ports.slots[a].begin(), ports.slots[a].end(),
+                              [&](const auto& s) { return s.nb == b; })) {
+    return "";
+  }
+  std::string msg = "routers " + std::to_string(f.a) + " and " +
+                    std::to_string(f.b);
+  if (a != f.a || b != f.b) {
+    msg += " (" + std::to_string(a) + " and " + std::to_string(b) +
+           " modulo " + std::to_string(n) + ")";
+  }
+  return msg + " share no link on the " + std::to_string(n) +
+         "-node fabric; a link fault names two neighbouring routers";
+}
+
+/// Parse the explicit `faults` array against the final fabric (`ports`
+/// is its layout). Kind-specific nonsense — a link fault between routers
+/// that share no link, a refresh storm without refresh — is rejected
+/// here with a positioned message.
 void parse_faults(const ObjectReader& top, const JsonMember& m,
-                  core::SystemConfig& cfg, const std::string& origin) {
+                  core::SystemConfig& cfg, const noc::TopologyPorts& ports,
+                  const std::string& origin) {
   if (!m.value().is(JsonKind::kArray)) {
     top.fail(m, "expected an array of fault objects");
   }
@@ -508,6 +547,9 @@ void parse_faults(const ObjectReader& top, const JsonMember& m,
       throw ParseError(origin, e.line, e.column, "a",
                        "a link fault needs two distinct endpoint routers "
                        "(keys a and b)");
+    }
+    if (const std::string why = unlinked_fault(f, ports); !why.empty()) {
+      throw ParseError(origin, e.line, e.column, "a", why);
     }
     if (f.kind == fault::FaultKind::kRefreshStorm) {
       if (f.trefi == 0) {
@@ -675,23 +717,10 @@ Scenario parse_scenario(std::string_view text, const std::string& origin,
     if (app_m != nullptr) cfg.app = r.token_of(*app_m, traffic::kAppTokens);
   }
 
-  // Node count of the final fabric (after any mesh_preset re-tiling),
-  // for controller-placement validation.
-  std::uint64_t fabric_nodes = 0;
-  if (topo) {
-    fabric_nodes = topo->topology->num_nodes();
-  } else if (!cfg.mesh_preset.empty()) {
-    std::uint32_t w = 0, h = 0;
-    const bool ok = core::parse_mesh_preset(cfg.mesh_preset, &w, &h);
-    ANNOC_ASSERT_MSG(ok, "mesh_preset is validated where it is read");
-    fabric_nodes = static_cast<std::uint64_t>(w) * h;
-  } else if (cfg.custom_app) {
-    fabric_nodes = static_cast<std::uint64_t>(cfg.custom_app->noc.width) *
-                   cfg.custom_app->noc.height;
-  } else {
-    const noc::NocConfig app_noc = traffic::build_application(cfg.app).noc;
-    fabric_nodes = static_cast<std::uint64_t>(app_noc.width) * app_noc.height;
-  }
+  // The final fabric (after any mesh_preset re-tiling), for controller
+  // placement and link-fault validation.
+  const noc::TopologyPorts ports = noc::fabric_ports(final_fabric(cfg));
+  const std::uint64_t fabric_nodes = ports.slots.size();
 
   if (memory_m != nullptr) {
     parse_memory(r, *memory_m, cfg, topo ? topo->topology.get() : nullptr,
@@ -703,7 +732,7 @@ Scenario parse_scenario(std::string_view text, const std::string& origin,
                ") than fabric nodes (" + std::to_string(fabric_nodes) + ")");
   }
   if (const JsonMember* fm = r.find("faults")) {
-    parse_faults(r, *fm, cfg, origin);
+    parse_faults(r, *fm, cfg, ports, origin);
   }
   return s;
 }
@@ -765,17 +794,23 @@ void apply_overrides(core::SystemConfig& cfg, const JsonValue& point,
                ") disagrees with the base scenario's memory.nodes (" +
                std::to_string(cfg.mem_nodes.size()) + " entries)");
   }
-  if (!cfg.mem_nodes.empty() && !cfg.mesh_preset.empty()) {
-    if (const JsonMember* m = r.find("mesh_preset")) {
-      std::uint32_t w = 0, h = 0;
-      const bool ok = core::parse_mesh_preset(cfg.mesh_preset, &w, &h);
-      ANNOC_ASSERT_MSG(ok, "mesh_preset is validated where it is read");
-      for (const NodeId n : cfg.mem_nodes) {
-        if (n >= static_cast<std::uint64_t>(w) * h) {
-          r.fail(*m, "the base scenario places a controller on node " +
-                         std::to_string(n) + ", outside the " +
-                         cfg.mesh_preset + " mesh");
-        }
+  // A point that re-tiles the fabric (mesh_preset, or the app's own
+  // mesh) must still fit the base scenario's controllers and link faults.
+  const JsonMember* retile = r.find("mesh_preset");
+  if (retile == nullptr) retile = r.find("app");
+  if (retile != nullptr && (!cfg.mem_nodes.empty() || !cfg.faults.empty())) {
+    const noc::TopologyPorts ports = noc::fabric_ports(final_fabric(cfg));
+    for (const NodeId n : cfg.mem_nodes) {
+      if (n >= ports.slots.size()) {
+        r.fail(*retile, "the base scenario places a controller on node " +
+                            std::to_string(n) + ", outside the " +
+                            std::to_string(ports.slots.size()) +
+                            "-node fabric");
+      }
+    }
+    for (const fault::FaultSpec& f : cfg.faults) {
+      if (const std::string why = unlinked_fault(f, ports); !why.empty()) {
+        r.fail(*retile, "the base scenario's link fault: " + why);
       }
     }
   }

@@ -350,7 +350,7 @@ TEST(FaultScenario, RoundTripAllKinds) {
     "fault.duration": 1200,
     "faults": [
       {"kind": "dead_link", "at": 2000, "until": 4000, "a": 1, "b": 2},
-      {"kind": "degraded_link", "at": 2100, "a": 2, "b": 3, "penalty": 9},
+      {"kind": "degraded_link", "at": 2100, "a": 2, "b": 5, "penalty": 9},
       {"kind": "slow_router", "at": 2200, "router": 4, "period": 5},
       {"kind": "refresh_storm", "at": 2300, "channel": 0, "trefi": 350},
       {"kind": "throttled_banks", "at": 2400, "channel": 0, "banks": 5,
@@ -422,6 +422,87 @@ TEST(FaultScenario, ValidationErrors) {
                    R"({"name": "v", "design": "gss",
                        "fault.kinds": "dead_link,gremlins"})",
                    "<v>"),
+               ParseError);
+}
+
+TEST(FaultScenario, LinkFaultsNeedNeighbouringRouters) {
+  const auto capture = [](const std::string& text) {
+    try {
+      (void)scenario::parse_scenario(text, "<link>");
+    } catch (const ParseError& e) {
+      return e;
+    }
+    ADD_FAILURE() << "expected a ParseError for: " << text;
+    return ParseError("", 0, 0, "", "no error");
+  };
+  // On a 4x4 mesh routers 0 and 5 are diagonal: no link joins them, so
+  // the fault is rejected at load instead of aborting at its cycle.
+  for (const char* kind : {"dead_link", "degraded_link"}) {
+    const ParseError e = capture(
+        std::string("{\"app\": \"ddtv\", \"mesh_preset\": \"4x4\",\n"
+                    " \"faults\": [\n"
+                    "   {\"kind\": \"") +
+        kind + "\", \"at\": 900, \"a\": 0, \"b\": 5}]}");
+    EXPECT_EQ(e.key(), "a") << kind;
+    EXPECT_EQ(e.line(), 3u) << kind;
+    EXPECT_NE(e.message().find("share no link on the 16-node fabric"),
+              std::string::npos)
+        << e.message();
+  }
+  // Endpoints wrap into the fabric like the schedule wraps them: 16 and
+  // 17 are routers 0 and 1, neighbours; 16 and 20 are 0 and 4, too; 0
+  // and 16 are the same router.
+  EXPECT_NO_THROW((void)scenario::parse_scenario(
+      R"({"mesh_preset": "4x4", "faults": [
+            {"kind": "dead_link", "a": 16, "b": 17},
+            {"kind": "dead_link", "a": 16, "b": 20}]})",
+      "<wrap>"));
+  EXPECT_NE(capture(R"({"mesh_preset": "4x4", "faults": [
+                         {"kind": "dead_link", "a": 0, "b": 16}]})")
+                .message()
+                .find("(0 and 0 modulo 16)"),
+            std::string::npos);
+  // A file topology checks its own links: n0-n2 skips n1 on the ring.
+  const std::string ring =
+      scenario::dump_scenario(scenario::load_scenario(
+          scenario_path("ring8_dual_ctrl.json")));
+  const std::string ring_fault =
+      ring.substr(0, ring.rfind('}')) +
+      ", \"faults\": [{\"kind\": \"dead_link\", \"a\": 0, \"b\": 2}]}";
+  EXPECT_NE(capture(ring_fault).message().find("8-node fabric"),
+            std::string::npos);
+
+  // A sweep point that re-tiles the base scenario re-checks its link
+  // faults against the new mesh (5-6 and 1-2 are neighbours on 8x8, but
+  // 5 and 6 sit on different rows of 3x3).
+  const scenario::Scenario base = scenario::load_scenario(
+      scenario_path("faults/dead_link_reroute.json"));
+  SystemConfig cfg = base.config;
+  scenario::apply_overrides(
+      cfg, scenario::parse_json(R"({"mesh_preset": "8x8"})", "<pt>"), "<pt>");
+  cfg = base.config;
+  try {
+    scenario::apply_overrides(
+        cfg, scenario::parse_json("{\n  \"mesh_preset\": \"3x3\"}", "<pt>"),
+        "<pt>");
+    ADD_FAILURE() << "3x3 re-tiling kept a link fault across no link";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.key(), "mesh_preset");
+    EXPECT_EQ(e.line(), 2u);
+    EXPECT_NE(e.message().find("routers 5 and 6 share no link on the 9-node "
+                               "fabric"),
+              std::string::npos)
+        << e.message();
+  }
+  // Swapping the paper app re-tiles too: 2-3 is a 4x4 (ddtv) link, not
+  // a 3x3 (bluray) one.
+  const scenario::Scenario ddtv = scenario::parse_scenario(
+      R"({"app": "ddtv", "faults": [{"kind": "dead_link", "a": 2, "b": 3}]})",
+      "<ddtv>");
+  cfg = ddtv.config;
+  EXPECT_THROW(scenario::apply_overrides(
+                   cfg, scenario::parse_json(R"({"app": "bluray"})", "<pt>"),
+                   "<pt>"),
                ParseError);
 }
 

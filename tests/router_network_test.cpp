@@ -1,13 +1,16 @@
 /// Tests for the router (buffers, arbitration, wormhole timing, the
-/// arbitration memo) and the mesh network (XY routing, injection,
+/// arbitration memo) and the network (the next-hop table against XY,
+/// negative-first and BFS references, dead-link detours, injection,
 /// ejection, backpressure).
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "noc/router.hpp"
 
@@ -60,7 +63,7 @@ TEST(InputBuffer, PopRestoresSpace) {
 }
 
 TEST(Router, GrantOccupiesChannelForPacketLength) {
-  Router r(0, 0, 0, 16, 1, FlowControlKind::kRoundRobin, {});
+  Router r(0, 16, 1, FlowControlKind::kRoundRobin, {});
   Packet p = mk(0, 99, 6);
   p.head_arrival = 10;
   p.tail_arrival = 15;
@@ -80,7 +83,7 @@ TEST(Router, GrantOccupiesChannelForPacketLength) {
 }
 
 TEST(Router, TailArrivalExtendsHold) {
-  Router r(0, 0, 0, 16, 1, FlowControlKind::kRoundRobin, {});
+  Router r(0, 16, 1, FlowControlKind::kRoundRobin, {});
   Packet p = mk(0, 99, 4);
   p.head_arrival = 10;
   p.tail_arrival = 30;  // still streaming in from upstream
@@ -92,7 +95,7 @@ TEST(Router, TailArrivalExtendsHold) {
 }
 
 TEST(Router, PipelineDelaysEligibility) {
-  Router r(0, 0, 0, 16, /*pipeline=*/3, FlowControlKind::kRoundRobin, {});
+  Router r(0, 16, /*pipeline=*/3, FlowControlKind::kRoundRobin, {});
   Packet p = mk(0, 99, 2);
   p.head_arrival = 10;
   p.tail_arrival = 11;
@@ -103,7 +106,7 @@ TEST(Router, PipelineDelaysEligibility) {
 }
 
 TEST(Router, HeadOfLineBlocksOtherOutputs) {
-  Router r(0, 0, 0, 16, 1, FlowControlKind::kRoundRobin, {});
+  Router r(0, 16, 1, FlowControlKind::kRoundRobin, {});
   Packet a = mk(0, 99, 2, 1);  // head, routed to West
   a.head_arrival = 5;
   a.tail_arrival = 6;
@@ -271,6 +274,206 @@ TEST(Network, MixedKindsZeroAndAll) {
 }
 
 // ---------------------------------------------------------------------
+// The next-hop table: one BFS per destination plus a policy step must
+// reproduce the closed-form mesh rules, detour around dead links in
+// N/E/S/W order, and take the lowest productive slot on any topology.
+// ---------------------------------------------------------------------
+
+/// XY on a row-major mesh of width `w` (y grows southward).
+Port xy_rule(std::uint32_t w, NodeId at, NodeId dst) {
+  if (at % w < dst % w) return kPortEast;
+  if (at % w > dst % w) return kPortWest;
+  return at / w < dst / w ? kPortSouth : kPortNorth;
+}
+
+/// Negative-first: every west/north move before any east/south move;
+/// with both west and north productive, the downstream with strictly
+/// more free flits wins, west on a tie.
+Port negative_first_rule(const Network& net, std::uint32_t w, NodeId at,
+                         NodeId dst) {
+  const bool west = at % w > dst % w;
+  const bool north = at / w > dst / w;
+  if (west && north) {
+    return net.downstream_free(at, kPortNorth) >
+                   net.downstream_free(at, kPortWest)
+               ? kPortNorth
+               : kPortWest;
+  }
+  if (west) return kPortWest;
+  if (north) return kPortNorth;
+  return at % w < dst % w ? kPortEast : kPortSouth;
+}
+
+TEST(RouteTable, MeshesMatchTheCoordinateRules) {
+  std::size_t alternates = 0;
+  for (std::uint32_t w = 1; w <= 9; ++w) {
+    for (std::uint32_t h = 1; h <= 9; ++h) {
+      SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+      NocConfig c;
+      c.width = w;
+      c.height = h;
+      c.buffer_flits = 8;
+      Network xy(c, {FlowControlKind::kRoundRobin}, {});
+      c.routing = RoutingPolicy::kAdaptiveMinimal;
+      Network nf(c, {FlowControlKind::kRoundRobin}, {});
+      // Fill the east input of every third router, so a west move into
+      // it sees no free flit and negative-first takes north instead.
+      for (NodeId id = 0; id < w * h; id += 3) {
+        nf.router(id).on_arrival(mk(id, 0, 8), kPortEast, 0, kPortWest, 0);
+      }
+      for (NodeId dst = 0; dst < w * h; ++dst) {
+        EXPECT_EQ(xy.route(dst, dst), kPortMem);
+        EXPECT_EQ(nf.route(dst, dst, /*to_memory=*/false), kPortLocal);
+        for (NodeId at = 0; at < w * h; ++at) {
+          if (at == dst) continue;
+          ASSERT_EQ(xy.route(at, dst), xy_rule(w, at, dst))
+              << at << " -> " << dst;
+          const Port want = negative_first_rule(nf, w, at, dst);
+          ASSERT_EQ(nf.route(at, dst), want) << at << " -> " << dst;
+          if (want == kPortNorth && at % w > dst % w) ++alternates;
+          const std::uint32_t manhattan =
+              (at % w > dst % w ? at % w - dst % w : dst % w - at % w) +
+              (at / w > dst / w ? at / w - dst / w : dst / w - at / w);
+          ASSERT_EQ(xy.hops(at, dst), manhattan) << at << " -> " << dst;
+        }
+      }
+    }
+  }
+  EXPECT_GT(alternates, 0u) << "no case took the negative-first alternate";
+}
+
+TEST(RouteTable, DeadLinkDetoursInNesWOrderAndHeals) {
+  // 0 1 2
+  // 3 4 5
+  // 6 7 8
+  for (const RoutingPolicy policy :
+       {RoutingPolicy::kXY, RoutingPolicy::kAdaptiveMinimal}) {
+    NocConfig c = cfg3x3();
+    c.routing = policy;
+    Network net(c, {FlowControlKind::kRoundRobin}, {});
+    MemSink sink;
+    net.attach_sink(&sink);
+    EXPECT_EQ(net.route(2, 0), kPortWest);
+    EXPECT_EQ(net.route(8, 0), kPortWest);
+    // A packet buffered at node 1, routed west, when the link dies.
+    ASSERT_TRUE(net.try_inject(mk(1, 0, 2, 1), 0));
+
+    net.set_link_dead(0, 1, true);
+    // Live-link distances to 0: 3 is 1 hop, 4 and 6 are 2, 1/5/7 are 3.
+    // Node 2 has S (5) and W (1) one hop closer and takes S; node 8 has
+    // N (5) and W (7) and takes N; node 1 can only go S.
+    EXPECT_EQ(net.route(1, 0), kPortSouth);
+    EXPECT_EQ(net.route(2, 0), kPortSouth);
+    EXPECT_EQ(net.route(8, 0), kPortNorth);
+    EXPECT_EQ(net.route(4, 0), kPortWest);
+    EXPECT_EQ(net.hops(1, 0), 3u);
+    for (Cycle t = 0; t < 100 && sink.delivered.empty(); ++t) net.tick(t);
+    ASSERT_EQ(sink.delivered.size(), 1u) << "the buffered packet rerouted";
+
+    net.set_link_dead(0, 1, false);
+    EXPECT_EQ(net.route(1, 0), kPortWest);
+    EXPECT_EQ(net.route(2, 0), kPortWest);
+    EXPECT_EQ(net.route(8, 0), kPortWest);
+    EXPECT_EQ(net.hops(1, 0), 1u);
+  }
+}
+
+TEST(RouteTable, PartitionParksUntilHealed) {
+  Network net(cfg3x3(), {FlowControlKind::kRoundRobin}, {});
+  MemSink sink;
+  net.attach_sink(&sink);
+  net.set_link_dead(0, 1, true);
+  net.set_link_dead(0, 3, true);
+  EXPECT_EQ(net.route(4, 0), kPortParked);
+  EXPECT_EQ(net.route(1, 0), kPortParked);
+  EXPECT_EQ(net.route(0, 0), kPortMem);
+  EXPECT_EQ(net.route(0, 8), kPortParked);
+  EXPECT_EQ(net.route(8, 4), kPortNorth);  // the rest still routes
+  ASSERT_TRUE(net.try_inject(mk(4, 0, 2, 1), 0));
+  for (Cycle t = 0; t < 50; ++t) net.tick(t);
+  EXPECT_TRUE(sink.delivered.empty());
+  EXPECT_EQ(net.in_flight_packets(), 1u);
+
+  net.set_link_dead(0, 3, false);
+  EXPECT_EQ(net.route(4, 0), kPortWest);
+  EXPECT_EQ(net.route(1, 0), kPortSouth);
+  for (Cycle t = 50; t < 150 && sink.delivered.empty(); ++t) net.tick(t);
+  EXPECT_EQ(sink.delivered.size(), 1u);
+}
+
+/// A connected random graph of `n` nodes with degree <= 4: a random
+/// spanning tree, then random extra links.
+std::shared_ptr<TopologySpec> random_topology(Rng& rng, std::size_t n) {
+  auto spec = std::make_shared<TopologySpec>();
+  std::vector<std::uint32_t> degree(n, 0);
+  const auto linked = [&](NodeId a, NodeId b) {
+    for (const TopologySpec::Edge& e : spec->links) {
+      if ((e.a == a && e.b == b) || (e.a == b && e.b == a)) return true;
+    }
+    return false;
+  };
+  for (NodeId i = 0; i < n; ++i) {
+    spec->node_names.push_back("n" + std::to_string(i));
+    if (i == 0) continue;
+    NodeId j = 0;
+    do {
+      j = static_cast<NodeId>(rng.next_below(i));
+    } while (degree[j] == 4);
+    spec->links.push_back({j, i});
+    ++degree[j];
+    ++degree[i];
+  }
+  for (std::size_t tries = rng.next_below(2 * n); tries > 0; --tries) {
+    const auto a = static_cast<NodeId>(rng.next_below(n));
+    const auto b = static_cast<NodeId>(rng.next_below(n));
+    if (a == b || degree[a] == 4 || degree[b] == 4 || linked(a, b)) continue;
+    spec->links.push_back({a, b});
+    ++degree[a];
+    ++degree[b];
+  }
+  return spec;
+}
+
+TEST(RouteTable, TopologiesTakeTheLowestProductiveSlot) {
+  Rng rng(0x7ab1e);
+  for (int round = 0; round < 100; ++round) {
+    const std::size_t n = 2 + rng.next_below(30);
+    NocConfig c;
+    c.topology = random_topology(rng, n);
+    ASSERT_TRUE(validate_topology(*c.topology).ok());
+    Network net(c, {FlowControlKind::kRoundRobin}, {});
+    const TopologyPorts ports = assign_ports(*c.topology);
+    for (NodeId dst = 0; dst < n; ++dst) {
+      // Reference distances to dst: a plain BFS over the spec's links.
+      std::vector<std::uint32_t> dist(n, ~0u);
+      std::vector<NodeId> queue{dst};
+      dist[dst] = 0;
+      for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+        for (const TopologySpec::Edge& e : c.topology->links) {
+          const NodeId u = queue[qi];
+          const NodeId v = e.a == u ? e.b : e.b == u ? e.a : kInvalidNode;
+          if (v != kInvalidNode && dist[v] == ~0u) {
+            dist[v] = dist[u] + 1;
+            queue.push_back(v);
+          }
+        }
+      }
+      for (NodeId at = 0; at < n; ++at) {
+        if (at == dst) continue;
+        std::uint8_t want = 0;
+        while (ports.slots[at][want].nb == kInvalidNode ||
+               dist[ports.slots[at][want].nb] + 1 != dist[at]) {
+          ++want;
+        }
+        ASSERT_EQ(net.route(at, dst), kPortNorth + want)
+            << "round " << round << ": " << at << " -> " << dst;
+        ASSERT_EQ(net.hops(at, dst), dist[at]);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Arbitration memo: a blocked output replays its last decision until an
 // input of that decision changes (DESIGN.md "Arbitration memo"). Each
 // case holds one output blocked — arbitrating every cycle without
@@ -326,7 +529,7 @@ Packet at_bank(PacketId id, BankId bank, RowId row, RW rw = RW::kRead) {
 }
 
 TEST(ArbitrationMemo, GssPriorityArrivalToTheSameBank) {
-  Router r(0, 0, 0, 16, 1, FlowControlKind::kGss,
+  Router r(0, 16, 1, FlowControlKind::kGss,
            GssParams{4, sdram::make_timing(sdram::DdrGeneration::kDdr2,
                                            400.0)});
   land(r, at_bank(1, 1, 10), kPortEast, kPortWest, 0);
@@ -343,7 +546,7 @@ TEST(ArbitrationMemo, GssPriorityArrivalToTheSameBank) {
 }
 
 TEST(ArbitrationMemo, Ref4StarvationCapFlipsAtHeadArrivalPlus513) {
-  Router r(0, 0, 0, 16, 1, FlowControlKind::kSdramAware, {});
+  Router r(0, 16, 1, FlowControlKind::kSdramAware, {});
   // h(n) = bank 1 row 10.
   land(r, at_bank(1, 1, 10), kPortEast, kPortWest, 0);
   grant_and_free(r, kPortWest, 1);
@@ -358,7 +561,7 @@ TEST(ArbitrationMemo, Ref4StarvationCapFlipsAtHeadArrivalPlus513) {
 TEST(ArbitrationMemo, GssStiBankTurnaroundEnds) {
   const sdram::Timing t =
       sdram::make_timing(sdram::DdrGeneration::kDdr2, 400.0);
-  Router r(0, 0, 0, 16, 1, FlowControlKind::kGssSti, GssParams{4, t});
+  Router r(0, 16, 1, FlowControlKind::kGssSti, GssParams{4, t});
   // A write to bank 2 granted at cycle 1 (8 data beats: 4 bus cycles)
   // keeps bank 2 turning around until 1 + 4 + tWR + tRP; then a read to
   // bank 1 becomes h(n).
@@ -380,7 +583,7 @@ TEST(ArbitrationMemo, GssStiBankTurnaroundEnds) {
 }
 
 TEST(ArbitrationMemo, RoundRobinAlternatesEveryCycle) {
-  Router r(0, 0, 0, 16, 1, FlowControlKind::kRoundRobin, {});
+  Router r(0, 16, 1, FlowControlKind::kRoundRobin, {});
   land(r, mk(0, 99, 2, 1), kPortEast, kPortWest, 0);
   land(r, mk(0, 99, 2, 2), kPortNorth, kPortWest, 0);
   const auto winners = hold_blocked(r, kPortWest, 1, 9);
@@ -390,7 +593,7 @@ TEST(ArbitrationMemo, RoundRobinAlternatesEveryCycle) {
 }
 
 TEST(ArbitrationMemo, HeadLeavesAThreeStagePipeline) {
-  Router r(0, 0, 0, 16, /*pipeline=*/3, FlowControlKind::kPriorityFirst, {});
+  Router r(0, 16, /*pipeline=*/3, FlowControlKind::kPriorityFirst, {});
   land(r, mk(0, 99, 2, 1), kPortEast, kPortWest, 0);  // eligible from 3
   Packet prio = mk(0, 99, 2, 2);
   prio.svc = ServiceClass::kPriority;
@@ -402,7 +605,7 @@ TEST(ArbitrationMemo, HeadLeavesAThreeStagePipeline) {
 }
 
 TEST(ArbitrationMemo, GrantElsewhereExposesAHeadForTheBlockedOutput) {
-  Router r(0, 0, 0, 16, 1, FlowControlKind::kPriorityFirst, {});
+  Router r(0, 16, 1, FlowControlKind::kPriorityFirst, {});
   land(r, mk(0, 98, 2, 1), kPortEast, kPortNorth, 0);
   Packet prio = mk(0, 99, 2, 2);
   prio.svc = ServiceClass::kPriority;

@@ -434,10 +434,12 @@ const std::map<std::string, Context>& contexts() {
           }
           const std::string token =
               to_string(static_cast<fault::FaultKind>(kind));
+          // Link endpoints must be neighbours on the default 3x3 mesh:
+          // 0-1, or 1-0 when the row under test moves `a` to 1.
           return "{\"refresh\": true, \"faults\": [" +
                  object_with({{"kind", "\"" + token + "\""},
                               {"a", "0"},
-                              {"b", "2"},
+                              {"b", k.key == "a" ? "0" : "1"},
                               {"trefi", "100"},
                               {"extra_trcd", "1"}},
                              k.key, v) +

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 
 #include "core/simulator.hpp"
 #include "metrics_identical.hpp"
+#include "noc/network.hpp"
 #include "noc/topology.hpp"
 #include "scenario/scenario.hpp"
 #include "sdram/config.hpp"
@@ -294,25 +296,50 @@ TEST(Interleave, SingleChannelIsPassThrough) {
 // --- TopologySpec primitives -------------------------------------------
 
 TEST(TopologySpec, ValidateAndRoute) {
-  noc::TopologySpec spec;
-  spec.node_names = {"a", "b", "c", "d"};
-  spec.links = {{0, 1}, {1, 2}, {2, 3}, {3, 0}};  // a 4-ring
-  EXPECT_TRUE(noc::validate_topology(spec).ok());
-  EXPECT_EQ(spec.index_of("c"), std::optional<NodeId>(2u));
-  EXPECT_FALSE(spec.index_of("z").has_value());
+  auto spec = std::make_shared<noc::TopologySpec>();
+  spec->node_names = {"a", "b", "c", "d"};
+  spec->links = {{0, 1}, {1, 2}, {2, 3}, {3, 0}};  // a 4-ring
+  EXPECT_TRUE(noc::validate_topology(*spec).ok());
+  EXPECT_EQ(spec->index_of("c"), std::optional<NodeId>(2u));
+  EXPECT_FALSE(spec->index_of("z").has_value());
 
-  const auto dist = noc::bfs_distances(spec);
-  EXPECT_EQ(dist[0 * 4 + 0], 0u);
-  EXPECT_EQ(dist[0 * 4 + 1], 1u);
-  EXPECT_EQ(dist[0 * 4 + 2], 2u);  // two hops either way around
-  EXPECT_EQ(dist[0 * 4 + 3], 1u);
+  noc::NocConfig cfg;
+  cfg.topology = spec;
+  noc::Network net(cfg, {noc::FlowControlKind::kRoundRobin}, {});
+  EXPECT_EQ(net.hops(0, 0), 0u);
+  EXPECT_EQ(net.hops(0, 1), 1u);
+  EXPECT_EQ(net.hops(0, 2), 2u);  // two hops either way around
+  EXPECT_EQ(net.hops(0, 3), 1u);
 
-  const noc::TopologyPorts ports = noc::assign_ports(spec);
-  const auto next = noc::bfs_next_hops(spec, ports, dist);
-  // Each hop from a toward c must strictly decrease the distance.
-  const std::uint8_t slot = next[2 * 4 + 0];
-  const NodeId via = ports.slots[0][slot].nb;
-  EXPECT_EQ(dist[via * 4 + 2], 1u);
+  // a's links take slots N (to b) and E (to d) in declaration order.
+  // Both lead one hop closer to c; the lower slot wins, and the hop
+  // strictly decreases the distance.
+  EXPECT_EQ(net.route(0, 2), noc::kPortNorth);
+  EXPECT_EQ(net.hops(1, 2), 1u);
+  EXPECT_EQ(net.route(0, 0), noc::kPortMem);
+}
+
+TEST(TopologySpec, MixedKindsOnTheRingOrderByNearestController) {
+  // ring8 with controllers on n0 and n4: n1/n3/n5/n7 sit one hop from a
+  // controller and n2/n6 two; ties break toward the lower node id.
+  const Scenario s =
+      scenario::load_scenario(scenario_path("ring8_dual_ctrl.json"));
+  noc::NocConfig cfg = s.config.custom_app->noc;
+  cfg.mem_nodes = s.config.mem_nodes;
+  const auto gss = [&](std::size_t num_gss) {
+    const std::vector<noc::FlowControlKind> kinds = noc::Network::mixed_kinds(
+        cfg, num_gss, noc::FlowControlKind::kGss,
+        noc::FlowControlKind::kPriorityFirst);
+    std::vector<NodeId> ids;
+    for (NodeId n = 0; n < kinds.size(); ++n) {
+      if (kinds[n] == noc::FlowControlKind::kGss) ids.push_back(n);
+    }
+    return ids;
+  };
+  EXPECT_EQ(gss(2), (std::vector<NodeId>{0, 4}));
+  EXPECT_EQ(gss(4), (std::vector<NodeId>{0, 1, 3, 4}));
+  EXPECT_EQ(gss(6), (std::vector<NodeId>{0, 1, 3, 4, 5, 7}));
+  EXPECT_EQ(gss(8).size(), 8u);
 }
 
 // --- scenario round-trips ----------------------------------------------

@@ -23,7 +23,7 @@ Packet mk(NodeId src, NodeId dst, std::uint32_t flits, PacketId id = 1) {
 }
 
 TEST(VirtualChannels, RouterAllocatesPerVcBuffers) {
-  Router r(0, 0, 0, 8, 1, FlowControlKind::kRoundRobin, {}, /*num_vcs=*/4);
+  Router r(0, 8, 1, FlowControlKind::kRoundRobin, {}, /*num_vcs=*/4);
   EXPECT_EQ(r.num_vcs(), 4u);
   EXPECT_EQ(r.free_flits(kPortEast), 32u);
   Packet p = mk(0, 99, 8);
@@ -34,7 +34,7 @@ TEST(VirtualChannels, RouterAllocatesPerVcBuffers) {
 }
 
 TEST(VirtualChannels, FindVcKeyedByFlow) {
-  Router r(0, 0, 0, 8, 1, FlowControlKind::kRoundRobin, {}, 3);
+  Router r(0, 8, 1, FlowControlKind::kRoundRobin, {}, 3);
   Packet a = mk(0, 99, 4, 1);
   a.src_core = 4;  // 4 % 3 == 1
   const auto vc = r.find_vc(kPortEast, a);
@@ -48,7 +48,7 @@ TEST(VirtualChannels, FindVcKeyedByFlow) {
 }
 
 TEST(VirtualChannels, FindVcFailsWhenFlowVcFull) {
-  Router r(0, 0, 0, 4, 1, FlowControlKind::kRoundRobin, {}, 2);
+  Router r(0, 4, 1, FlowControlKind::kRoundRobin, {}, 2);
   Packet filler = mk(0, 99, 4, 1);
   filler.src_core = 0;  // VC 0
   r.on_arrival(std::move(filler), kPortEast, 0, kPortWest, 0);
@@ -66,7 +66,7 @@ TEST(VirtualChannels, RelieveHeadOfLineBlocking) {
   // packet behind it that wants a free output; with two VCs in separate
   // buffers, the second proceeds.
   for (const std::uint32_t vcs : {1u, 2u}) {
-    Router r(0, 0, 0, 8, 1, FlowControlKind::kRoundRobin, {}, vcs);
+    Router r(0, 8, 1, FlowControlKind::kRoundRobin, {}, vcs);
     Packet a = mk(0, 99, 2, 1);
     a.head_arrival = 1;
     a.tail_arrival = 2;
@@ -93,7 +93,7 @@ TEST(VirtualChannels, RoundRobinSharesFairlyAtEveryVcCount) {
   // in a 64-slot rotation and lost every tie.
   for (const std::uint32_t vcs : {1u, 2u, 10u, 11u, 13u, 16u}) {
     const std::uint32_t vc = 1 % vcs;
-    Router r(0, 0, 0, 16, 1, FlowControlKind::kRoundRobin, {}, vcs);
+    Router r(0, 16, 1, FlowControlKind::kRoundRobin, {}, vcs);
     for (PacketId i = 0; i < 8; ++i) {
       for (const Port in : {kPortLocal, kPortWest}) {
         Packet p = mk(0, 0, 1, 2 * i + (in == kPortWest ? 1 : 0));
